@@ -1,14 +1,15 @@
 """Dominant alcoves of the affine Weyl group, enumerated by length.
 
-A point x of the Cartan subalgebra is carried as the vector of exact
-rational values (alpha_1(x), ..., alpha_l(x)); a root phi = sum c_i alpha_i
-then evaluates as sum c_i alpha_i(x), and the affine walls are the integer
-level sets of these evaluations.  The base point x0 is the image of 2*rho
-under the Killing identification, so alpha_i(x0) = (alpha_i, alpha_i)_std
-divided by 2*h_dual.  Tracking sigma(x0) across the group action yields,
-for each dominant alcove:
+A point x of the Cartan subalgebra is carried as the integer vector
+X = scale * (alpha_1(x), ..., alpha_l(x)), with `scale` from the root
+system; a root phi = sum c_i alpha_i then evaluates as sum c_i X_i, and
+the affine walls are the level sets at multiples of `scale`.  The base
+point x0 is the image of 2*rho under the Killing identification, which in
+these units is X_i = sym_i.  Every point the search reaches is an integer
+vector.  Tracking sigma(x0) across the group action yields, for each
+dominant alcove:
 
-* the wall-crossing counts n_phi (floors of the root evaluations),
+* the wall-crossing counts n_phi = phi(X) // scale,
 * the length (their sum),
 * the distinguished dominant weight with 2*(lambda + rho) = sigma(2*rho),
 * its Casimir eigenvalue, the triangular-number sum of the n_phi.
@@ -21,10 +22,9 @@ dominant facet neighbor of length n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .rootsystem import RootSystem
 
@@ -35,9 +35,10 @@ class AffineElement:
 
     `w` is the linear part as an integer matrix acting on evaluation
     vectors; `z` has integer coordinates in the coroot basis.  `x` is the
-    tracked point sigma(x0), `n_vec` the wall counts in the fixed
-    positive-root order, `lam` the alcove weight in fundamental
-    coordinates and `cas` its (integer) Casimir eigenvalue.
+    tracked point sigma(x0) as an integer vector in units of 1/scale,
+    `n_vec` the wall counts in the fixed positive-root order, `lam` the
+    alcove weight in fundamental coordinates and `cas` its (integer)
+    Casimir eigenvalue.
     """
 
     x: tuple
@@ -49,22 +50,8 @@ class AffineElement:
     cas: int
 
 
-def evaluate_root(coords, point) -> Fraction:
+def evaluate_root(coords, point):
     return sum(c * point[i] for i, c in enumerate(coords) if c)
-
-
-def weight_point(rs: RootSystem, weight) -> tuple:
-    """Point of the Cartan whose Killing pairing with roots matches `weight`."""
-    d = rs.simple_norm_halves
-    scale = 2 * rs.h_dual
-    return tuple(Fraction(d[i] * weight[i], scale) for i in range(rs.rank))
-
-
-def point_weight(rs: RootSystem, point) -> tuple:
-    """Inverse of weight_point; exact rational fundamental coordinates."""
-    d = rs.simple_norm_halves
-    scale = 2 * rs.h_dual
-    return tuple(point[i] * scale / d[i] for i in range(rs.rank))
 
 
 def _generators(rs: RootSystem):
@@ -98,25 +85,40 @@ def _vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _element_from_map(rs: RootSystem, w, tvec) -> AffineElement:
-    x = _vec_add(_mat_vec(w, rs.x0), tvec)
-    n_vec = tuple(math.floor(evaluate_root(c, x)) for c in rs.positive_roots)
+def _affine(rs: RootSystem, w, tvec, point) -> tuple:
+    """w(point) + t, for a point in units of 1/scale and the evaluation
+    vector t of a coroot-lattice element."""
+    return tuple(sum(a * p for a, p in zip(row, point)) + rs.scale * t
+                 for row, t in zip(w, tvec))
+
+
+@lru_cache(maxsize=None)
+def _integer_inverse(rs: RootSystem):
+    """(adj, den) with adj = den * cartan_inv, all integers."""
+    den = lcm(*(v.denominator for row in rs.cartan_inv for v in row))
+    adj = tuple(tuple(v.numerator * (den // v.denominator) for v in row)
+                for row in rs.cartan_inv)
+    return adj, den
+
+
+def _element_from_map(rs: RootSystem, w, tvec, x) -> AffineElement:
+    n_vec = tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
     length = sum(n_vec)
     lam = []
-    for i in range(rs.rank):
-        m = rs.h_dual * x[i] / rs.simple_norm_halves[i] - 1
-        if m.denominator != 1:
+    for xi, s in zip(x, rs.sym):
+        m, rem = divmod(xi, s)
+        if rem:
             raise AssertionError("alcove weight is not integral")
-        lam.append(int(m))
+        lam.append(m - 1)
     cas = sum(n * (n + 1) // 2 for n in n_vec)
     # Coroot coordinates of the translation part: solve t = cartan^T * z.
-    inv = rs.cartan_inv
+    adj, den = _integer_inverse(rs)
     z = []
     for i in range(rs.rank):
-        zi = sum(inv[j][i] * tvec[j] for j in range(rs.rank))
-        if zi.denominator != 1:
+        zi, rem = divmod(sum(adj[j][i] * tvec[j] for j in range(rs.rank)), den)
+        if rem:
             raise AssertionError("translation part is not in the coroot lattice")
-        z.append(int(zi))
+        z.append(zi)
     return AffineElement(x=x, w=w, z=tuple(z), n_vec=n_vec, length=length,
                          lam=tuple(lam), cas=cas)
 
@@ -134,7 +136,7 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
     l = rs.rank
     identity = _element_from_map(
         rs, tuple(tuple(int(i == j) for j in range(l)) for i in range(l)),
-        (0,) * l)
+        (0,) * l, rs.sym)
     gens = _generators(rs)
     seen = {identity.x}
     out = [identity]
@@ -145,10 +147,10 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
             for gmat, gt in gens:
                 w = _mat_mul(e.w, gmat)
                 tvec = _vec_add(_mat_vec(e.w, gt), _coroot_to_eval(rs, e.z))
-                x = _vec_add(_mat_vec(w, rs.x0), tvec)
+                x = _affine(rs, w, tvec, rs.sym)
                 if not _is_dominant(x) or x in seen:
                     continue
-                cand = _element_from_map(rs, w, tvec)
+                cand = _element_from_map(rs, w, tvec, x)
                 if cand.length != target:
                     continue
                 seen.add(x)
@@ -166,8 +168,9 @@ def _coroot_to_eval(rs: RootSystem, z) -> tuple:
 
 
 def apply_element(rs: RootSystem, e: AffineElement, point) -> tuple:
-    """Apply the affine transformation of `e` to an arbitrary point."""
-    return _vec_add(_mat_vec(e.w, point), _coroot_to_eval(rs, e.z))
+    """Apply the affine transformation of `e` to a point given in units
+    of 1/scale."""
+    return _affine(rs, e.w, _coroot_to_eval(rs, e.z), point)
 
 
 def finite_part_length(rs: RootSystem, e: AffineElement) -> int:
@@ -204,17 +207,18 @@ def enumerate_wf2(rs: RootSystem, max_length: int) -> tuple:
 def reduce_to_fundamental(rs: RootSystem, point):
     """Fold a point into the fundamental alcove by wall reflections.
 
+    The point is given in units of 1/scale, like `AffineElement.x`.
     Returns (folded, parity, regular).  Each step reflects in a violated
     constraint: a negative simple-root value, or a highest-root value
-    above 1 (the affine reflection, with its coroot translation).  Every
-    step removes at least one separating wall, so the loop terminates.
+    above `scale` (the affine reflection, with its coroot translation).
+    Every step removes at least one separating wall, so the loop ends.
     For a regular point the folding element is unique, which makes the
     parity well-defined; on a wall the parity is reported but meaningless.
     """
     l = rs.rank
     psi = rs.positive_roots[rs.highest_root]
     pv = rs.psi_coroot_values
-    p = tuple(Fraction(v) for v in point)
+    p = tuple(point)
     parity = 1
     while True:
         i = next((i for i in range(l) if p[i] < 0), None)
@@ -224,12 +228,12 @@ def reduce_to_fundamental(rs: RootSystem, point):
             parity = -parity
             continue
         psival = evaluate_root(psi, p)
-        if psival > 1:
-            p = tuple(p[j] - (psival - 1) * pv[j] for j in range(l))
+        if psival > rs.scale:
+            p = tuple(p[j] - (psival - rs.scale) * pv[j] for j in range(l))
             parity = -parity
             continue
         break
-    regular = all(v > 0 for v in p) and evaluate_root(psi, p) < 1
+    regular = all(v > 0 for v in p) and evaluate_root(psi, p) < rs.scale
     return p, parity, regular
 
 
@@ -243,10 +247,9 @@ def chi_at_type_rho(rs: RootSystem, weight) -> int:
     """
     if not rs.is_dominant_integral(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
-    shifted = tuple(int(m) + 1 for m in weight)
-    p = tuple(2 * v for v in weight_point(rs, shifted))
+    p = tuple(s * (int(m) + 1) for s, m in zip(rs.sym, weight))
     folded, parity, regular = reduce_to_fundamental(rs, p)
-    if regular and folded == rs.x0:
+    if regular and folded == rs.sym:
         return parity
     return 0
 

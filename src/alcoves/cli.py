@@ -2,9 +2,10 @@
 
 Every invocation prints one canonical key-sorted JSON document (or a
 human table with --summary) and exits 0 when all checks passed, 1 when
-any failed, 2 on usage or scale errors.  Output is byte-identical across
-repeated identical invocations: fixed ordering, decimal-string integers,
-no timestamps.
+any failed, 2 on usage or scale errors.  Every numeric argument is
+checked against its range in one place, before any work starts.  Output
+is byte-identical across repeated identical invocations: fixed ordering,
+decimal-string integers, no timestamps.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .ideals import enumerate_abelian_ideals, ideal_to_sigma
 from .limits import Limits, load_limits
 from .report import Report
 from .rootsystem import parse_type, weyl_dimension
-from .series import (alcove_coefficient_series, euler_power, f_poly,
-                     lehmer_probe)
+from .series import (DIRECT_MAX_K, alcove_coefficient_series, euler_power,
+                     f_poly, lehmer_probe)
 from .suites import SUITES, run_suite
 
 
@@ -72,18 +73,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ranges(args, limits: Limits) -> dict:
+    """Allowed range of each numeric argument: dest -> (minimum, maximum,
+    name of the ceiling behind the maximum)."""
+    kmax = (limits.max_order, "max_order")
+    if getattr(args, "method", "series") != "series":
+        # The alcove route enumerates alcoves up to length kmax.
+        kmax = min(kmax, (limits.max_length, "max_length"))
+    if getattr(args, "suite", None) == "roots-f234":
+        kmax = min(kmax, (DIRECT_MAX_K, "composition-route"))
+    return {
+        "kmax": (0, *kmax),
+        "max_length": (0, limits.max_length, "max_length"),
+        # The Casimir ceiling is also the alcove length searched.
+        "cas_ceiling": (0, limits.max_length, "max_length"),
+        "m": (2, None, None),
+    }
+
+
+def check_sizes(args, limits: Limits) -> None:
+    """Refuse any numeric argument outside its range, naming the limit."""
+    for dest, (low, high, ceiling) in _ranges(args, limits).items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if value < low:
+            raise ValueError(f"{flag} {value} is below the minimum {low}")
+        if high is not None and value > high:
+            raise ValueError(
+                f"{flag} {value} exceeds the {ceiling} ceiling {high}")
+
+
 def cmd_coeffs(args, limits: Limits) -> Report:
     rs = parse_type(args.type_label)
     kmax = args.kmax
-    if kmax > limits.max_order:
-        raise ValueError(f"kmax {kmax} exceeds the order ceiling {limits.max_order}")
     rep = Report(suite="coeffs", type_label=rs.label,
                  params={"kmax": kmax, "method": args.method})
     series = euler_power(rs.dim_g, kmax) if args.method in ("series", "both") else None
     alcove = None
     if args.method in ("alcove", "both"):
-        if kmax > limits.max_length:
-            raise ValueError(f"kmax {kmax} exceeds the length ceiling {limits.max_length}")
         alcove = alcove_coefficient_series(rs, kmax)
     base = series or alcove
     for k in range(kmax + 1):
@@ -104,9 +133,6 @@ def cmd_coeffs(args, limits: Limits) -> Report:
 
 def cmd_alcoves(args, limits: Limits) -> Report:
     rs = parse_type(args.type_label)
-    if args.max_length > limits.max_length:
-        raise ValueError(f"max length {args.max_length} exceeds the ceiling "
-                         f"{limits.max_length}")
     rep = Report(suite="alcoves", type_label=rs.label,
                  params={"max_length": args.max_length,
                          "wf2_only": args.wf2_only})
@@ -138,8 +164,6 @@ def cmd_ideals(args, limits: Limits) -> Report:
 
 def cmd_fk(args, limits: Limits) -> Report:
     kmax = args.kmax
-    if kmax > limits.max_order:
-        raise ValueError(f"kmax {kmax} exceeds the order ceiling {limits.max_order}")
     rep = Report(suite="fk", params={"kmax": kmax,
                                      "eval": args.eval_at if args.eval_at is not None else "",
                                      "lehmer": args.lehmer})
@@ -186,10 +210,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    limits = load_limits()
-    if args.allow_big:
-        limits = limits.embiggen()
     try:
+        limits = load_limits()
+        if args.allow_big:
+            limits = limits.embiggen()
+        check_sizes(args, limits)
         report = _COMMANDS[args.command](args, limits)
     except (ValueError, KeyError, LookupError) as exc:
         sys.stderr.write(f"error: {exc}\n")

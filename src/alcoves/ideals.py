@@ -10,13 +10,12 @@ asserted by callers, never assumed by the generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from .alcove import AffineElement, enumerate_dominant, in_wf2
-from .rootsystem import KILLING_SCALE, RootSystem, weyl_dimension
+from .rootsystem import RootSystem, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -161,34 +160,15 @@ def dim_Ck(rs: RootSystem, k: int) -> int:
 def _pairing_tables(rs: RootSystem):
     """Integer tables for the shifted norm excess.
 
-    Returns (P, R, unit) with P[a][b] and R[a] the root pairings and
-    two-rho pairings scaled to integers; the Killing excess of a multiset
-    Phi is (sum_{a,b} P + sum_a R) / unit, so `excess <= k` is the integer
-    comparison against k * unit.
+    Returns (P, R, unit) with P[a][b] the root pairings and R[a] the
+    two-rho pairings in the units of `RootSystem.pair`; the Killing excess
+    of a multiset Phi is (sum_{a,b} P + sum_a R) / unit, so `excess <= k`
+    is the integer comparison against k * unit.
     """
-    m = rs.num_positive
-    pairs = [[rs.pair_roots_std(rs.positive_roots[a], rs.positive_roots[b])
-              for b in range(m)] for a in range(m)]
-    rho_pairs = [rs.pair_roots_std(rs.two_rho, rs.positive_roots[a])
-                 for a in range(m)]
-    denom = 1
-    for row in pairs:
-        for v in row:
-            d = Fraction(v).denominator
-            denom = denom * d // gcd(denom, d)
-    P = tuple(tuple(int(v * denom) for v in row) for row in pairs)
-    R = tuple(int(Fraction(v) * denom) for v in rho_pairs)
-    return P, R, denom * KILLING_SCALE(rs)
-
-
-def _shifted_norm_excess(rs: RootSystem, indices) -> Fraction:
-    """|rho + sum(Phi)|^2 - |rho|^2 in the Killing normalization, for a
-    multiset of positive-root indices."""
-    P, R, unit = _pairing_tables(rs)
-    idx = list(indices)
-    total = sum(R[a] for a in idx)
-    total += sum(P[a][b] for a in idx for b in idx)
-    return Fraction(total, unit)
+    roots = rs.positive_roots
+    P = tuple(tuple(rs.pair(a, b) for b in roots) for a in roots)
+    R = tuple(rs.pair(rs.two_rho, a) for a in roots)
+    return P, R, 2 * rs.scale
 
 
 def verify_subset_bound(rs: RootSystem, k: int, max_candidates: int = 2_000_000) -> dict:

@@ -34,10 +34,12 @@ def load_limits(path: str | None = None) -> Limits:
     path = path or os.environ.get(ENV_VAR)
     if not path:
         return limits
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    known = {f.name for f in fields(Limits)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown limit fields in {path}: {sorted(unknown)}")
-    return replace(limits, **{k: int(v) for k, v in data.items()})
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = dict(json.load(fh))
+        unknown = set(data) - {f.name for f in fields(Limits)}
+        if unknown:
+            raise ValueError(f"unknown limit fields {sorted(unknown)}")
+        return replace(limits, **{k: int(v) for k, v in data.items()})
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"{ENV_VAR} file {path}: {exc}") from None

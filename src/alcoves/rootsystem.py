@@ -1,17 +1,18 @@
 """Exact root-system data for the simple Lie types A through G.
 
 Roots are stored as integer coordinate vectors in the simple-root basis;
-weights as vectors of fundamental-weight coordinates.  Two inner-product
-normalizations coexist:
+weights as vectors of fundamental-weight coordinates.  There is one inner
+product, in integers: `sym` holds the smallest positive integers with
+sym_i * a_ij symmetric, and
 
-* the standard one, with (psi, psi) = 2 for the highest root psi, used
-  for all construction work because it keeps the combinatorics integral;
+    pair(x, y) = sum_ij x_i sym_i a_ij y_j
 
-* the Killing one, obtained by dividing by 2 * h_dual, in which every
-  long root has squared length 1/h_dual.  All Casimir eigenvalues and
-  wall evaluations are Killing-normalized.
-
-The conversion factor lives in exactly one place (`KILLING_SCALE` below).
+for x, y in simple-root coordinates.  The Killing normalization, in which
+every long root has squared length 1/h_dual and in which all Casimir
+eigenvalues and wall evaluations are stated, is (x, y)_K = pair(x, y) /
+(2 * scale) with scale = h_dual * pair(psi, psi) / 2.  A weight pairs with
+a root as (lambda, x) = sum_i lambda_i sym_i x_i in the same units.
+Division happens only where a value is reported as a rational.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .linalg import invert_rational
 
@@ -97,16 +99,14 @@ class RootSystem:
     cartan_inv: tuple
     positive_roots: tuple          # coordinate vectors in the simple-root basis
     highest_root: int              # index of psi in positive_roots
-    simple_norm_halves: tuple      # d_i = (alpha_i, alpha_i)_std / 2
-    gram: tuple                    # (alpha_i, alpha_j)_std
-    norms_std: tuple               # (phi, phi)_std per positive root
+    sym: tuple                     # symmetrizers: sym_i * a_ij is symmetric
+    scale: int                     # h_dual * pair(psi, psi) / 2
     h: int
     h_dual: int
     exponents: tuple
     dim_g: int
     two_rho: tuple                 # 2*rho in simple-root coordinates
     psi_coroot_values: tuple       # alpha_j(psi^vee), integers
-    x0: tuple                      # alpha_i(x0) for the base point x0 ~ 2*rho
     _index: dict = field(repr=False, default=None)
 
     def __eq__(self, other):
@@ -126,10 +126,6 @@ class RootSystem:
     def num_positive(self) -> int:
         return len(self.positive_roots)
 
-    @property
-    def rho(self) -> tuple:
-        return (1,) * self.rank
-
     def root_index(self, coords) -> int:
         return self._index[tuple(coords)]
 
@@ -140,23 +136,12 @@ class RootSystem:
     def root_height(self, idx: int) -> int:
         return sum(self.positive_roots[idx])
 
-    # -- inner products (standard normalization) ------------------------
+    # -- the inner product ---------------------------------------------
 
-    def pair_roots_std(self, c1, c2) -> Fraction:
-        """(x, y)_std for x, y given in simple-root coordinates."""
-        g = self.gram
-        return sum(a * sum(b * g[i][j] for j, b in enumerate(c2) if b)
-                   for i, a in enumerate(c1) if a)
-
-    def pair_weight_root_std(self, weight, root_coords) -> Fraction:
-        """(lambda, x)_std for a weight (fundamental coords) and root coords."""
-        d = self.simple_norm_halves
-        return sum(c * d[i] * weight[i] for i, c in enumerate(root_coords) if c)
-
-    def pair_weights_std(self, w1, w2) -> Fraction:
-        c2 = self.weight_to_root_coords(w2)
-        d = self.simple_norm_halves
-        return sum(c * d[i] * w1[i] for i, c in enumerate(c2) if c)
+    def pair(self, x, y) -> int:
+        """sum x_i sym_i a_ij y_j for x, y in simple-root coordinates;
+        the Killing pairing is this divided by 2 * scale."""
+        return _pair(self.cartan, self.sym, x, y)
 
     # -- coordinate conversions -----------------------------------------
 
@@ -180,9 +165,9 @@ class RootSystem:
         return all(c == int(c) for c in self.weight_to_root_coords(weight))
 
 
-# Killing normalization: (x, y)_K = (x, y)_std / (2 * h_dual).
-def KILLING_SCALE(rs: RootSystem) -> int:
-    return 2 * rs.h_dual
+def _pair(cartan, sym, x, y) -> int:
+    return sum(xi * sym[i] * sum(a * yj for a, yj in zip(cartan[i], y) if yj)
+               for i, xi in enumerate(x) if xi)
 
 
 def _positive_roots_by_closure(cartan, rank):
@@ -240,8 +225,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         if any(x < 0 for x in diff):
             raise AssertionError("highest root is not maximal")
 
-    # Symmetrizing factors d_i, propagated along the Dynkin diagram, then
-    # scaled so that (psi, psi)_std = 2.
+    # Symmetrizers d_i a_ij = d_j a_ji, propagated along the Dynkin
+    # diagram, then cleared to the smallest positive integers.
     d = [None] * rank
     d[0] = Fraction(1)
     todo = [0]
@@ -253,30 +238,24 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                 todo.append(j)
     if any(x is None for x in d):
         raise AssertionError("Dynkin diagram is not connected")
-    gram0 = [[d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]
-    psi_norm = sum(psi[i] * psi[j] * gram0[i][j]
-                   for i in range(rank) for j in range(rank))
-    scale = Fraction(2) / psi_norm
-    d = tuple(x * scale for x in d)
-    gram = tuple(tuple(d[i] * cartan[i][j] for j in range(rank))
-                 for i in range(rank))
-    for i in range(rank):
-        for j in range(rank):
-            if gram[i][j] != gram[j][i]:
-                raise AssertionError("Gram matrix is not symmetric")
+    den = lcm(*(x.denominator for x in d))
+    sym = [x.numerator * (den // x.denominator) for x in d]
+    sym = tuple(x // gcd(*sym) for x in sym)
+    if any(sym[i] * cartan[i][j] != sym[j] * cartan[j][i]
+           for i in range(rank) for j in range(rank)):
+        raise AssertionError("symmetrized Cartan matrix is not symmetric")
 
-    def pair(c1, c2):
-        return sum(c1[i] * c2[j] * gram[i][j]
-                   for i in range(rank) for j in range(rank))
+    def pair(x, y):
+        return _pair(cartan, sym, x, y)
 
-    norms = tuple(pair(c, c) for c in positive)
+    psi_norm = pair(psi, psi)
     two_rho = tuple(sum(c[i] for c in positive) for i in range(rank))
 
     # h_dual from (2*rho, psi) + (psi, psi) = (psi, psi) * h_dual.
-    h_dual_frac = pair(two_rho, psi) / Fraction(2) + 1
-    if h_dual_frac.denominator != 1:
+    h_dual, rem = divmod(pair(two_rho, psi), psi_norm)
+    if rem:
         raise AssertionError("dual Coxeter number is not an integer")
-    h_dual = int(h_dual_frac)
+    h_dual += 1
     h = sum(psi) + 1
 
     # Exponents: the dual of the partition of positive roots by height.
@@ -292,26 +271,23 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     dim_g = 2 * len(positive) + rank
 
-    # psi^vee in the coroot basis has coordinates psi_i * d_i (d_psi = 1);
-    # alpha_j(psi^vee) = sum_i cvee_i * a_ij must be an integer.
-    cvee = [psi[i] * d[i] for i in range(rank)]
+    # alpha_j(psi^vee) = 2 (psi, alpha_j) / (psi, psi) must be an integer.
     psi_coroot_values = []
     for j in range(rank):
-        v = sum(cvee[i] * cartan[i][j] for i in range(rank))
-        if v.denominator != 1:
+        alpha_j = [int(i == j) for i in range(rank)]
+        v, rem = divmod(2 * pair(psi, alpha_j), psi_norm)
+        if rem:
             raise AssertionError("psi^vee does not lie in the coroot lattice")
-        psi_coroot_values.append(int(v))
-
-    x0 = tuple(di / h_dual for di in d)
-    cartan_inv = invert_rational(cartan)
+        psi_coroot_values.append(v)
 
     return RootSystem(
-        family=family, rank=rank, cartan=cartan, cartan_inv=cartan_inv,
+        family=family, rank=rank, cartan=cartan,
+        cartan_inv=invert_rational(cartan),
         positive_roots=tuple(positive), highest_root=psi_idx,
-        simple_norm_halves=d, gram=gram, norms_std=norms,
+        sym=sym, scale=h_dual * psi_norm // 2,
         h=h, h_dual=h_dual, exponents=exponents, dim_g=dim_g,
         two_rho=two_rho, psi_coroot_values=tuple(psi_coroot_values),
-        x0=x0, _index=index)
+        _index=index)
 
 
 def parse_type(label: str) -> RootSystem:
@@ -333,29 +309,31 @@ def casimir_eigenvalue(rs: RootSystem, weight) -> Fraction:
     """
     if not rs.is_dominant_integral(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
-    lam_lam = rs.pair_weights_std(weight, weight)
-    two_rho_lam = rs.pair_weight_root_std(weight, rs.two_rho)
-    return Fraction(lam_lam + two_rho_lam, KILLING_SCALE(rs))
+    c = rs.weight_to_root_coords(weight)
+    num = sum(w * s * (ci + t) for w, s, ci, t in
+              zip(weight, rs.sym, c, rs.two_rho))
+    return Fraction(num, 2 * rs.scale)
 
 
 def weyl_dimension(rs: RootSystem, weight) -> int:
     """dim V_lambda by the Weyl product over positive roots, exactly."""
     if not rs.is_dominant_integral(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
-    lam_rho = tuple(int(x) + 1 for x in weight)
-    num = Fraction(1)
+    lam_rho = [(int(w) + 1) * s for w, s in zip(weight, rs.sym)]
+    num = den = 1
     for c in rs.positive_roots:
-        num *= Fraction(rs.pair_weight_root_std(lam_rho, c),
-                        rs.pair_weight_root_std(rs.rho, c))
-    if num.denominator != 1 or num <= 0:
+        num *= sum(a * ci for a, ci in zip(lam_rho, c))
+        den *= sum(s * ci for s, ci in zip(rs.sym, c))
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
         raise AssertionError("Weyl dimension product is not a positive integer")
-    return int(num)
+    return dim
 
 
 def heisenberg_count(rs: RootSystem) -> int:
     """m with 2m + 1 = #{phi > 0 : (psi, phi) > 0}; always h_dual - 2."""
     psi = rs.positive_roots[rs.highest_root]
-    n = sum(1 for c in rs.positive_roots if rs.pair_roots_std(psi, c) > 0)
+    n = sum(1 for c in rs.positive_roots if rs.pair(psi, c) > 0)
     m, odd = divmod(n - 1, 2)
     if odd:
         raise AssertionError("root set pairing positively with psi has even size")

@@ -13,6 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+# Largest k the exponential composition route of f_k is allowed to reach.
+DIRECT_MAX_K = 20
+
 
 class IntSeries:
     """Dense integer power series truncated at order K (inclusive)."""
@@ -36,10 +39,6 @@ class IntSeries:
     def __repr__(self) -> str:
         return f"IntSeries({self.coeffs!r})"
 
-    def __add__(self, other: "IntSeries") -> "IntSeries":
-        order = min(self.order, other.order)
-        return IntSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], order)
-
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         order = min(self.order, other.order)
         out = [0] * (order + 1)
@@ -49,16 +48,6 @@ class IntSeries:
                     if b:
                         out[i + j] += a * b
         return IntSeries(out, order)
-
-    def __pow__(self, n: int) -> "IntSeries":
-        result = IntSeries([1], self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
 
 def euler_power(e: int, order: int) -> IntSeries:
@@ -185,7 +174,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def f_poly_direct(k: int, max_k: int = 20) -> RatPoly:
+def f_poly_direct(k: int, max_k: int = DIRECT_MAX_K) -> RatPoly:
     """f_k(s) assembled term by term from ordered compositions of k.
 
     Independent of the recurrence route; exponential in k, so guarded.

@@ -253,8 +253,7 @@ def suite_roots_f234(limits: Limits, kmax: int = 12, **_) -> Report:
         rep.add(f"f{k}-integer-roots",
                 all(poly(r) == 0 for r in roots) and poly(0) == 0,
                 {"roots": (0,) + roots})
-    agree = all(f_poly(k) == f_poly_direct(k, max_k=kmax)
-                for k in range(kmax + 1))
+    agree = all(f_poly(k) == f_poly_direct(k) for k in range(kmax + 1))
     rep.add("recurrence-matches-composition-route", agree, {"kmax": kmax})
     return rep
 

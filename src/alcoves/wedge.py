@@ -26,11 +26,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
 from .rootsystem import RootSystem, casimir_eigenvalue
-
-DEFAULT_DIM_CEILING = 14
-DEFAULT_MATRIX_CEILING = 3432  # largest wedge degree of a 14-dim algebra
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +73,7 @@ def _structure_signs(rs: RootSystem):
     all_roots = pos_set | {tuple(-c for c in r) for r in pos}
     norm = {}
     for r in pos:
-        n = rs.pair_roots_std(r, r)
+        n = rs.pair(r, r)
         norm[r] = n
         norm[tuple(-c for c in r)] = n
 
@@ -139,20 +137,21 @@ def _structure_signs(rs: RootSystem):
 
 
 def _coroot_coords(rs: RootSystem, root_coords):
-    """Coordinates of phi^vee in the simple-coroot basis (integers)."""
-    d = rs.simple_norm_halves
-    norm_half = rs.pair_roots_std(root_coords, root_coords) / 2
+    """Coordinates of phi^vee in the simple-coroot basis (integers):
+    2 c_i sym_i / pair(phi, phi)."""
+    norm = rs.pair(root_coords, root_coords)
     out = []
-    for i, c in enumerate(root_coords):
-        v = c * d[i] / norm_half
-        if v.denominator != 1:
+    for c, s in zip(root_coords, rs.sym):
+        v, rem = divmod(2 * c * s, norm)
+        if rem:
             raise AssertionError("coroot has non-integer coordinates")
-        out.append(int(v))
+        out.append(v)
     return out
 
 
 @lru_cache(maxsize=None)
-def build_chevalley(rs: RootSystem, dim_ceiling: int = DEFAULT_DIM_CEILING) -> LieAlgebraTable:
+def build_chevalley(rs: RootSystem,
+                    dim_ceiling: int = Limits.chevalley_dim) -> LieAlgebraTable:
     """Structure constants, Killing form and its inverse, all verified.
 
     Build-time checks: antisymmetry and the Jacobi identity over all basis
@@ -392,7 +391,7 @@ def _check_matrix_ceiling(table: LieAlgebraTable, k: int, matrix_ceiling: int):
 
 
 def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
-                           matrix_ceiling: int = DEFAULT_MATRIX_CEILING) -> int:
+                           matrix_ceiling: int = Limits.wedge_matrix) -> int:
     """Dimension of the eigenvalue-k eigenspace of the Casimir action on
     the k-th wedge power, by exact nullity per weight block."""
     _check_matrix_ceiling(table, k, matrix_ceiling)
@@ -416,7 +415,7 @@ def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
 
 
 def max_casimir_eigenvalue(table: LieAlgebraTable, k: int,
-                           matrix_ceiling: int = DEFAULT_MATRIX_CEILING) -> Fraction:
+                           matrix_ceiling: int = Limits.wedge_matrix) -> Fraction:
     """Largest Casimir eigenvalue on the k-th wedge power.
 
     Eigenvalues are Casimir scalars of the highest weights present; a
@@ -503,7 +502,7 @@ def _coboundary_images(table: LieAlgebraTable):
 
 
 def dg_ideal_dim(table: LieAlgebraTable, k: int,
-                 matrix_ceiling: int = DEFAULT_MATRIX_CEILING) -> int:
+                 matrix_ceiling: int = Limits.wedge_matrix) -> int:
     """Dimension of degree-k part of the ideal generated by the image of
     the degree-one coboundary: rank of all (k-2)-wedges against the d(u)
     generators, weight block by weight block."""

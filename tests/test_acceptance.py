@@ -5,25 +5,23 @@ and asserts the generous wall-clock budget it must fit in.  Run with
 `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
-import os
 import time
-from math import comb
-
-import pytest
 
 from alcoves.alcove import (chi_at_type_rho, counts_by_length,
                             enumerate_dominant, finite_part_length, in_wf2,
                             two_rho_pairing_killing)
-from alcoves.ideals import (dim_Ck, enumerate_abelian_ideals,
+from alcoves.ideals import (enumerate_abelian_ideals,
                             verify_root_partition_bound, verify_subset_bound)
+from alcoves.limits import Limits
+from alcoves.report import PASS
 from alcoves.rootsystem import (casimir_eigenvalue, heisenberg_count,
                                 parse_type, weyl_dimension)
 from alcoves.series import (RatPoly, alcove_coefficient_series, bigraded_dims,
                             bott_series, euler_power, f_poly, f_poly_direct)
+from alcoves.suites import run_suite
 from alcoves.typea import count_null_cores, null_core_count_expected, \
     verify_null_core_bijection
-from alcoves.wedge import (_verify_jacobi, build_chevalley,
-                           casimir_eigenspace_dim, dg_ideal_dim)
+from alcoves.wedge import _verify_jacobi, build_chevalley
 from fractions import Fraction
 
 
@@ -67,10 +65,8 @@ def test_criterion_02_power_of_two_count():
             assert len(enumerate_abelian_ideals(rs)) == 2 ** rs.rank, label
 
 
-@pytest.mark.skipif(not os.environ.get("ALCOVES_BIG_TYPES"),
-                    reason="set ALCOVES_BIG_TYPES=1 to include E7/E8")
-def test_criterion_02_optional_big_types():
-    with Budget("criterion 2 (optional): E7/E8 ideal counts", 1800):
+def test_criterion_02_big_types():
+    with Budget("criterion 2: E7/E8 ideal counts", 60):
         for label, rank in [("E7", 7), ("E8", 8)]:
             rs = parse_type(label)
             assert len(enumerate_abelian_ideals(rs)) == 2 ** rank
@@ -80,20 +76,10 @@ def test_criterion_03_seven_numbers():
     with Budget("criterion 3: five computations agree for k <= h_dual "
                 "on A1 A2 B2 G2", 600):
         for label in ["A1", "A2", "B2", "G2"]:
-            rs = parse_type(label)
-            table = build_chevalley(rs)
-            series = euler_power(rs.dim_g, rs.h_dual)
-            doms = enumerate_dominant(rs, rs.h_dual)
-            for k in range(rs.h_dual + 1):
-                legs = {
-                    (-1) ** k * series[k],
-                    dim_Ck(rs, k),
-                    casimir_eigenspace_dim(table, k),
-                    comb(rs.dim_g, k) - dg_ideal_dim(table, k),
-                    sum(weyl_dimension(rs, e.lam) for e in doms
-                        if e.length == k and e.cas == k),
-                }
-                assert len(legs) == 1, (label, k, legs)
+            report = run_suite("seven-numbers", label, Limits())
+            assert len(report.checks) == parse_type(label).h_dual + 2, label
+            failed = [c.claim for c in report.checks if c.status != PASS]
+            assert not failed, (label, failed)
 
 
 def test_criterion_04_vanishing_coefficients():

@@ -7,9 +7,8 @@ import pytest
 from alcoves.alcove import (apply_element, chi_at_type_rho, counts_by_length,
                             enumerate_dominant, enumerate_wf2,
                             finite_part_length, ideal_chain, in_wf2,
-                            point_weight, reduce_to_fundamental,
-                            two_rho_pairing_killing, weight_point)
-from alcoves.ideals import is_abelian, is_ideal
+                            reduce_to_fundamental, two_rho_pairing_killing)
+from alcoves.ideals import _pairing_tables, is_abelian, is_ideal
 from alcoves.rootsystem import casimir_eigenvalue, parse_type, weyl_dimension
 from alcoves.series import bott_series
 
@@ -25,7 +24,7 @@ def test_length_zero_is_identity_only():
         e = elements[0]
         assert e.length == 0 and e.cas == 0
         assert e.lam == (0,) * rs.rank
-        assert e.x == rs.x0
+        assert e.x == rs.sym
 
 
 def test_a1_single_chain():
@@ -84,7 +83,11 @@ def test_element_invariants(label):
         assert (e.cas == e.length) == in_wf2(rs, e)
         seen_weights.add(e.lam)
         # The tracked point is the element applied to the base point.
-        assert apply_element(rs, e, rs.x0) == e.x
+        assert apply_element(rs, e, rs.sym) == e.x
+        # Every field is built from plain integers.
+        for vec in (e.x, e.z, e.n_vec, e.lam) + e.w:
+            assert all(type(v) is int for v in vec)
+        assert type(e.length) is int and type(e.cas) is int
     assert len(seen_weights) == len(elements)
 
 
@@ -108,6 +111,30 @@ def test_ordering_contract(label):
     assert [e.n_vec for e in again] == [e.n_vec for e in elements]
 
 
+def test_integer_routes_create_no_fraction():
+    """The alcove search, the character, the Weyl dimension and the
+    pairing tables run on plain integers end to end."""
+    created = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    for label in ["A3", "B2", "G2"]:
+        rs = parse_type(label)
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            elements = enumerate_dominant.__wrapped__(rs, 6)
+            for e in elements:
+                chi_at_type_rho(rs, e.lam)
+                weyl_dimension(rs, e.lam)
+            _pairing_tables.__wrapped__(rs)
+        finally:
+            Fraction.__new__ = original
+        assert not created, (label, created[:3])
+
+
 def test_wf2_membership():
     rs = parse_type("A1")
     by_len = {e.length: e for e in enumerate_dominant(rs, 3)}
@@ -121,8 +148,8 @@ def test_wf2_membership():
 def test_fold_of_base_point_is_trivial():
     for label in ["A2", "B2", "G2"]:
         rs = parse_type(label)
-        folded, parity, regular = reduce_to_fundamental(rs, rs.x0)
-        assert folded == rs.x0 and parity == 1 and regular
+        folded, parity, regular = reduce_to_fundamental(rs, rs.sym)
+        assert folded == rs.sym and parity == 1 and regular
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
@@ -130,16 +157,17 @@ def test_fold_recovers_length_parity(label):
     rs = parse_type(label)
     for e in enumerate_dominant(rs, 6):
         folded, parity, regular = reduce_to_fundamental(rs, e.x)
-        assert folded == rs.x0
+        assert folded == rs.sym
         assert regular
         assert parity == (-1) ** e.length
 
 
 def test_fold_detects_singular_points():
     rs = parse_type("A1")
-    folded, _parity, regular = reduce_to_fundamental(rs, (Fraction(1),))
+    # The highest-root wall: psi evaluates to `scale` in point units.
+    folded, _parity, regular = reduce_to_fundamental(rs, (rs.scale,))
     assert not regular
-    assert folded == (Fraction(1),)
+    assert folded == (rs.scale,)
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
@@ -181,11 +209,12 @@ def test_naive_translation_formula_fails():
     affine action is not linear, so the halved formula is the right one.
     Search the first few alcoves for a concrete counterexample."""
     rs = parse_type("A1")
-    rho_point = weight_point(rs, rs.rho)
+    # A weight lambda sits at the point sym_i * lambda_i / 2.
+    rho_point = tuple(Fraction(s, 2) for s in rs.sym)
     mismatches = []
     for e in enumerate_dominant(rs, 4):
         image = apply_element(rs, e, rho_point)
-        naive = tuple(a - b for a, b in zip(point_weight(rs, image), rs.rho))
+        naive = tuple(2 * v / s - 1 for v, s in zip(image, rs.sym))
         if naive != e.lam:
             mismatches.append((e.length, naive, e.lam))
     assert mismatches, "expected the naive formula to fail somewhere"

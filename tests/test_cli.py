@@ -116,6 +116,49 @@ def test_scale_error_exit_code(capsys):
     assert "ceiling" in err
 
 
+# Each row: argv, ALCOVES_LIMITS file ("missing" for an absent one, or
+# None), and the words the error must contain: the argument and its limit.
+SIZE_ERRORS = [
+    pytest.param(["fk", "--kmax", "-2"], None, ["--kmax -2", "minimum 0"],
+                 id="fk-negative-kmax"),
+    pytest.param(["verify", "--suite", "subset-bound", "--type", "B2",
+                  "--kmax", "-1"], None, ["--kmax -1", "minimum 0"],
+                 id="subset-bound-negative-kmax"),
+    pytest.param(["verify", "--suite", "root-partitions", "--type", "A2",
+                  "--cas-ceiling", "-1"], None,
+                 ["--cas-ceiling -1", "minimum 0"],
+                 id="root-partitions-negative-cas-ceiling"),
+    pytest.param(["mcore", "--m", "1"], None, ["--m 1", "minimum 2"],
+                 id="mcore-m-below-two"),
+    pytest.param(["verify", "--suite", "bott", "--type", "A2",
+                  "--max-length", "1000"], None,
+                 ["--max-length 1000", "max_length ceiling 64"],
+                 id="bott-max-length-unbounded"),
+    pytest.param(["verify", "--suite", "sign", "--type", "A2",
+                  "--cas-ceiling", "100000"], None,
+                 ["--cas-ceiling 100000", "max_length ceiling 64"],
+                 id="sign-cas-ceiling-unbounded"),
+    pytest.param(["verify", "--suite", "roots-f234", "--kmax", "30"], None,
+                 ["--kmax 30", "composition-route ceiling 20"],
+                 id="roots-f234-kmax-over-composition-cap"),
+    pytest.param(["verify", "--suite", "peterson", "--type", "A2"], "missing",
+                 ["ALCOVES_LIMITS", "missing.json"],
+                 id="missing-limits-file"),
+]
+
+
+@pytest.mark.parametrize("argv,limits_file,words", SIZE_ERRORS)
+def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
+                                               argv, limits_file, words):
+    if limits_file is not None:
+        monkeypatch.setenv("ALCOVES_LIMITS", str(tmp_path / f"{limits_file}.json"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    for word in words:
+        assert word in err, (word, err)
+
+
 def test_summary_mode(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "peterson",
                            "--type", "A2", "--summary")

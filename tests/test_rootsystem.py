@@ -1,12 +1,12 @@
-"""Root-system construction and the two inner-product normalizations."""
+"""Root-system construction and the integer inner product."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from alcoves.rootsystem import (KILLING_SCALE, build_root_system,
-                                casimir_eigenvalue, heisenberg_count,
-                                parse_type, weyl_dimension)
+from alcoves.rootsystem import (build_root_system, casimir_eigenvalue,
+                                heisenberg_count, parse_type, weyl_dimension)
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "C2", "B3", "C3",
              "D4", "D5", "G2", "F4", "E6"]
@@ -30,17 +30,28 @@ def test_highest_root_is_maximal(label):
     psi = rs.positive_roots[rs.highest_root]
     for phi in rs.positive_roots:
         assert all(p - q >= 0 for p, q in zip(psi, phi))
-    assert rs.pair_roots_std(psi, psi) == 2
+    assert Fraction(rs.pair(psi, psi), 2 * rs.scale) == Fraction(1, rs.h_dual)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_symmetrizers_are_smallest(label):
+    rs = parse_type(label)
+    a = rs.cartan
+    assert all(s > 0 for s in rs.sym) and gcd(*rs.sym) == 1
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            assert rs.sym[i] * a[i][j] == rs.sym[j] * a[j][i]
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_killing_normalization(label):
     rs = parse_type(label)
-    scale = KILLING_SCALE(rs)
-    for phi, norm in zip(rs.positive_roots, rs.norms_std):
-        killing_norm = Fraction(norm, scale)
+    psi = rs.positive_roots[rs.highest_root]
+    for phi in rs.positive_roots:
+        norm = rs.pair(phi, phi)
+        killing_norm = Fraction(norm, 2 * rs.scale)
         # Long roots have Killing norm 1/h_dual; all reciprocals integral.
-        if norm == 2:
+        if norm == rs.pair(psi, psi):
             assert killing_norm == Fraction(1, rs.h_dual)
         recip = 1 / killing_norm
         assert recip.denominator == 1
@@ -51,15 +62,15 @@ def test_rho_pairings(label):
     """(2 rho, alpha_i) = (alpha_i, alpha_i) and (2 rho, psi) = 1 - (psi, psi)
     in the Killing normalization."""
     rs = parse_type(label)
-    scale = KILLING_SCALE(rs)
+    unit = 2 * rs.scale
     for i in range(rs.rank):
         alpha = tuple(int(j == i) for j in range(rs.rank))
-        lhs = Fraction(rs.pair_roots_std(rs.two_rho, alpha), scale)
-        rhs = Fraction(rs.pair_roots_std(alpha, alpha), scale)
+        lhs = Fraction(rs.pair(rs.two_rho, alpha), unit)
+        rhs = Fraction(rs.pair(alpha, alpha), unit)
         assert lhs == rhs
     psi = rs.positive_roots[rs.highest_root]
-    lhs = Fraction(rs.pair_roots_std(rs.two_rho, psi), scale)
-    assert lhs == 1 - Fraction(rs.pair_roots_std(psi, psi), scale)
+    lhs = Fraction(rs.pair(rs.two_rho, psi), unit)
+    assert lhs == 1 - Fraction(rs.pair(psi, psi), unit)
 
 
 @pytest.mark.parametrize("label", RANK8_TYPES)
@@ -91,6 +102,7 @@ def test_casimir_values():
     assert casimir_eigenvalue(a1, (0,)) == 0
     # 2 alpha has fundamental coordinate 4.
     assert casimir_eigenvalue(a1, (4,)) == 3
+    assert type(casimir_eigenvalue(a1, (4,))) is Fraction
     with pytest.raises(ValueError):
         casimir_eigenvalue(a1, (-1,))
 
@@ -110,6 +122,7 @@ def test_weyl_dimension_values():
     assert weyl_dimension(a2, (1, 1)) == a2.dim_g
     # Hand evaluation over the three positive roots: (4*1*5)/(1*1*2).
     assert weyl_dimension(a2, (3, 0)) == 10
+    assert type(weyl_dimension(a2, (3, 0))) is int
     with pytest.raises(ValueError):
         weyl_dimension(a2, (1, Fraction(1, 2)))
 
