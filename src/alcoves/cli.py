@@ -2,9 +2,12 @@
 
 Every invocation prints one canonical key-sorted JSON document (or a
 human table with --summary) and exits 0 when all checks passed, 1 when
-any failed, 2 on usage or scale errors.  Every numeric argument is
-checked against its range in one place, before any work starts.  Output
-is byte-identical across repeated identical invocations: fixed ordering,
+any failed, 2 on usage or scale errors, and 3 when an internal invariant
+check fails (a Jacobi, structure-constant, Casimir-identity or series
+divisibility check, reported as "internal error: ..." on stderr).  Every
+numeric argument, and the rank behind --type and --m, is checked against
+its range in one place, before any work starts.  Output is
+byte-identical across repeated identical invocations: fixed ordering,
 decimal-string integers, no timestamps.
 """
 
@@ -17,7 +20,7 @@ from .alcove import chi_at_type_rho, enumerate_dominant, in_wf2
 from .ideals import enumerate_abelian_ideals, ideal_to_sigma
 from .limits import Limits, load_limits
 from .report import Report
-from .rootsystem import parse_type, weyl_dimension
+from .rootsystem import parse_label, parse_type, weyl_dimension
 from .series import (DIRECT_MAX_K, alcove_coefficient_series, euler_power,
                      f_poly, lehmer_probe)
 from .suites import SUITES, run_suite
@@ -92,7 +95,8 @@ def _ranges(args, limits: Limits) -> dict:
 
 
 def check_sizes(args, limits: Limits) -> None:
-    """Refuse any numeric argument outside its range, naming the limit."""
+    """Refuse any numeric argument outside its range, and any type rank
+    over `max_rank`, naming the limit."""
     for dest, (low, high, ceiling) in _ranges(args, limits).items():
         value = getattr(args, dest, None)
         if value is None:
@@ -103,6 +107,16 @@ def check_sizes(args, limits: Limits) -> None:
         if high is not None and value > high:
             raise ValueError(
                 f"{flag} {value} exceeds the {ceiling} ceiling {high}")
+    ranks = []
+    if getattr(args, "type_label", None):
+        ranks.append((f"--type {args.type_label}", parse_label(args.type_label)[1]))
+    if getattr(args, "m", None) is not None:
+        # The m-core suite builds A_{m-1}.
+        ranks.append((f"--m {args.m}", args.m - 1))
+    for what, rank in ranks:
+        if rank > limits.max_rank:
+            raise ValueError(f"{what} needs rank {rank}, over the max_rank "
+                             f"ceiling {limits.max_rank}")
 
 
 def cmd_coeffs(args, limits: Limits) -> Report:
@@ -219,6 +233,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, LookupError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     sys.stdout.write(report.summary() if args.summary else report.canonical())
     return report.exit_code()
 

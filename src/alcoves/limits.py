@@ -22,6 +22,7 @@ class Limits:
     wedge_matrix: int = 3432                # largest wedge-power dimension
     max_length: int = 64                    # alcove enumeration depth
     max_order: int = 128                    # series truncation order
+    max_rank: int = 8                       # rank of --type, and m - 1 for --m
 
     def embiggen(self, factor: int = 100) -> "Limits":
         return Limits(**{f.name: getattr(self, f.name) * factor

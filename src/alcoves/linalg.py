@@ -8,52 +8,43 @@ does not change the row space.  Nothing here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _integerize_row(row):
-    """Scale a row of ints/Fractions to integers (lcm of denominators)."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            denom = denom // gcd(denom, d) * d
-    if denom == 1:
-        return [int(x) for x in row]
-    return [int(x * denom) for x in row]
+    """Scale a nonzero row of ints/Fractions to coprime integers (times the
+    lcm of its denominators, divided by the gcd of the result)."""
+    denom = lcm(*(x.denominator for x in row if type(x) is not int))
+    ints = [int(x * denom) for x in row]
+    content = gcd(*ints)
+    return [x // content for x in ints] if content > 1 else ints
 
 
 def exact_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of rows of ints/Fractions."""
+    """Rank of a matrix given as an iterable of rows of ints/Fractions.
+
+    Each step takes the first row with a nonzero leading entry as pivot,
+    eliminates the leading column from the other rows and drops it.  Rows
+    that become zero stay zero and are dropped too.
+    """
     mat = [_integerize_row(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
     rank = 0
     prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+    while mat:
+        i = next((i for i, r in enumerate(mat) if r[0]), None)
+        if i is None:
+            mat = [r[1:] for r in mat]
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for r in range(row + 1, len(mat)):
-            if not any(mat[r][col:]):
-                continue
-            rv = mat[r][col]
-            for c in range(col, ncols):
-                # Bareiss step: division by the previous pivot is exact.
-                mat[r][c] = (pv * mat[r][c] - rv * mat[row][c]) // prev
+        pivot = mat.pop(i)
+        pv = pivot[0]
+        tail = pivot[1:]
+        # Bareiss step: division by the previous pivot is exact.
+        mat = [row for row in
+               ([(pv * a - r[0] * b) // prev for a, b in zip(r[1:], tail)]
+                for r in mat)
+               if any(row)]
         prev = pv
         rank += 1
-        row += 1
-        if row == len(mat):
-            break
     return rank
 
 

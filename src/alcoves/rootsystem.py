@@ -290,16 +290,20 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         _index=index)
 
 
-def parse_type(label: str) -> RootSystem:
-    """Build a root system from a label like 'A4' or 'E6'."""
+def parse_label(label: str) -> tuple:
+    """(family, rank) of a label like 'A4' or 'E6', without building it."""
     label = label.strip()
     if len(label) < 2 or label[0].upper() not in FAMILIES:
         raise ValueError(f"cannot parse type label {label!r}")
     try:
-        rank = int(label[1:])
+        return label[0].upper(), int(label[1:])
     except ValueError:
         raise ValueError(f"cannot parse type label {label!r}") from None
-    return build_root_system(label[0].upper(), rank)
+
+
+def parse_type(label: str) -> RootSystem:
+    """Build a root system from a label like 'A4' or 'E6'."""
+    return build_root_system(*parse_label(label))
 
 
 def casimir_eigenvalue(rs: RootSystem, weight) -> Fraction:

@@ -1,17 +1,16 @@
 """Exact power series and polynomial engine.
 
 Integer power series are dense coefficient lists with a hard truncation
-order; all arithmetic is schoolbook and exact.  Rational polynomials in
-one variable back the coefficient polynomials f_k(s) of the s-th power
-of the Euler product, computed two independent ways (a logarithmic
-derivative recurrence and direct composition enumeration).
+order.  Rational polynomials in one variable back the coefficient
+polynomials f_k(s) of the s-th power of the Euler product, computed two
+independent ways (a logarithmic derivative recurrence on k! f_k(s) and
+direct composition enumeration).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from math import comb, factorial, isqrt, prod
 
 # Largest k the exponential composition route of f_k is allowed to reach.
 DIRECT_MAX_K = 20
@@ -39,32 +38,31 @@ class IntSeries:
     def __repr__(self) -> str:
         return f"IntSeries({self.coeffs!r})"
 
-    def __mul__(self, other: "IntSeries") -> "IntSeries":
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a:
-                for j, b in enumerate(other.coeffs[: order + 1 - i]):
-                    if b:
-                        out[i + j] += a * b
-        return IntSeries(out, order)
-
 
 def euler_power(e: int, order: int) -> IntSeries:
     """Coefficients of (prod_{n>=1} (1 - x^n))^e modulo x^(order+1).
 
-    Each factor (1 - x^n)^e is expanded binomially before multiplying in,
-    so the result is independent of any alcove or polynomial machinery.
+    The product has the nonzero terms (-1)^j x^(j(3j -+ 1)/2) only (Euler's
+    pentagonal theorem).  Miller's recurrence for its e-th power,
+    n q_n = sum_{k=1}^{n} ((e + 1) k - n) p_k q_{n-k}, runs over those
+    O(sqrt(order)) k, independently of the alcove route and of f_poly.
     """
     if e < 1:
         raise ValueError("exponent must be a positive integer")
-    acc = IntSeries([1], order)
+    # (k, p_k) for the nonzero p_k, k >= 1, in increasing k, past `order`.
+    terms = [(j * (3 * j + t) // 2, (-1) ** j)
+             for j in range(1, isqrt(order) + 2) for t in (-1, 1)]
+    q = [1] + [0] * order
     for n in range(1, order + 1):
-        factor = [0] * (order + 1)
-        for j in range(order // n + 1):
-            factor[n * j] = (-1) ** j * comb(e, j) if j <= e else 0
-        acc = acc * IntSeries(factor, order)
-    return acc
+        acc = 0
+        for k, p in terms:
+            if k > n:
+                break
+            acc += p * ((e + 1) * k - n) * q[n - k]
+        q[n], rem = divmod(acc, n)
+        if rem:
+            raise AssertionError(f"Miller recurrence leaves remainder {rem} at n = {n}")
+    return IntSeries(q, order)
 
 
 def alcove_coefficient_series(rs, order: int) -> IntSeries:
@@ -117,19 +115,6 @@ class RatPoly:
     def __repr__(self) -> str:
         return f"RatPoly({[str(c) for c in self.coeffs]})"
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RatPoly([x + y for x, y in zip(a, b)])
-
-    def scale(self, c) -> "RatPoly":
-        return RatPoly([Fraction(c) * x for x in self.coeffs])
-
-    def shift_up(self) -> "RatPoly":
-        """Multiply by the variable."""
-        return RatPoly((Fraction(0),) + self.coeffs)
-
     def __call__(self, s):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -145,23 +130,42 @@ def mu(m: int) -> Fraction:
                Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _f_polys_upto(k: int):
-    """f_0..f_k via the recurrence k*f_k = -s * sum m*mu(m)*f_{k-m}."""
-    polys = [RatPoly([1])]
-    for n in range(1, k + 1):
-        acc = RatPoly([])
+def _scaled_fk_rows(k: int, rows=((1,),)):
+    """Integer coefficients in s of g_n = n! f_n(s), n <= k, extending the
+    given g_0, g_1, ...  The logarithmic derivative of the product gives
+    n f_n = -s sum_m sigma(m) f_{n-m}, so that
+    g_n = -s sum_{m<=n} sigma(m) (n-1)!/(n-m)! g_{n-m}."""
+    sigma = [0] * (k + 1)
+    for d in range(1, k + 1):
+        for m in range(d, k + 1, d):
+            sigma[m] += d
+    rows = list(rows)
+    for n in range(len(rows), k + 1):
+        acc = [0] * n
+        fall = 1  # (n-1)!/(n-m)!
         for m in range(1, n + 1):
-            acc = acc + polys[n - m].scale(m * mu(m))
-        polys.append(acc.shift_up().scale(Fraction(-1, n)))
-    return tuple(polys)
+            c = sigma[m] * fall
+            acc[:n - m + 1] = [a - c * v for a, v in zip(acc, rows[n - m])]
+            fall *= n - m
+        rows.append((0, *acc))
+    return tuple(rows)
+
+
+# g_0..g_n built so far; grown, never rebuilt, to the largest k asked for.
+_fk_rows = _scaled_fk_rows(0)
 
 
 def f_poly(k: int) -> RatPoly:
-    """Degree-k coefficient polynomial of the s-th Euler-product power."""
+    """Degree-k coefficient polynomial of the s-th Euler-product power,
+    read from the shared table of k! f_k(s)."""
+    global _fk_rows
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _f_polys_upto(k)[k]
+    rows = _fk_rows
+    if k >= len(rows):
+        rows = _fk_rows = _scaled_fk_rows(k, rows)
+    fact = factorial(k)
+    return RatPoly([Fraction(c, fact) for c in rows[k]])
 
 
 def _compositions(total: int, parts: int):
@@ -185,20 +189,13 @@ def f_poly_direct(k: int, max_k: int = DIRECT_MAX_K) -> RatPoly:
         raise ValueError(f"composition enumeration capped at k = {max_k}")
     if k == 0:
         return RatPoly([1])
+    mus = [None] + [mu(m) for m in range(1, k + 1)]
     coeffs = [Fraction(0)] * (k + 1)
-    fact = 1
     for n in range(1, k + 1):
-        fact *= n
-        q_kn = sum((_mu_product(c) for c in _compositions(k, n)), Fraction(0))
-        coeffs[n] = q_kn * Fraction((-1) ** n, fact)
+        q_kn = sum((prod(mus[m] for m in c) for c in _compositions(k, n)),
+                   Fraction(0))
+        coeffs[n] = q_kn * Fraction((-1) ** n, factorial(n))
     return RatPoly(coeffs)
-
-
-def _mu_product(composition) -> Fraction:
-    prod = Fraction(1)
-    for m in composition:
-        prod *= mu(m)
-    return prod
 
 
 class BigradedTable:
@@ -214,21 +211,18 @@ class BigradedTable:
         self.max_n = max_n
         self.max_k = max_k
         # rows[n] = coefficient series in x of y^n.
-        rows = [[0] * (max_k + 1) for _ in range(max_n + 1)]
-        rows[0][0] = 1
+        rows = [[1] + [0] * max_k] + [[0] * (max_k + 1) for _ in range(max_n)]
         for j in range(1, max_k + 1):
-            # Multiply by (1 + y x^j)^g = sum_i C(g, i) y^i x^(j*i).
-            new = [[0] * (max_k + 1) for _ in range(max_n + 1)]
-            for n in range(self.max_n + 1):
-                for i in range(0, min(dim_g, n, max_k // j) + 1):
+            # Multiply by (1 + y x^j)^g = sum_i C(g, i) y^i x^(j*i) in place,
+            # top row first: row n reads only the rows below it.
+            for n in range(max_n, 0, -1):
+                row = rows[n]
+                for i in range(1, min(dim_g, n, max_k // j) + 1):
                     c = comb(dim_g, i)
-                    src = rows[n - i]
                     off = j * i
-                    for kk in range(max_k + 1 - off):
-                        v = src[kk]
+                    for kk, v in enumerate(rows[n - i][:max_k + 1 - off]):
                         if v:
-                            new[n][kk + off] += c * v
-            rows = new
+                            row[kk + off] += c * v
         self._rows = rows
 
     def entry(self, n: int, k: int) -> int:

@@ -281,16 +281,16 @@ def suite_interpolation(limits: Limits, **_) -> Report:
 
 
 def _lagrange(points) -> RatPoly:
-    acc = RatPoly([])
+    acc = [Fraction(0)] * len(points)
     for i, (xi, yi) in enumerate(points):
-        term = RatPoly([yi])
+        term = [yi]
         for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = RatPoly([c * Fraction(1, xi - xj) for c in
-                            (term.shift_up() + term.scale(-xj)).coeffs])
-        acc = acc + term
-    return acc
+            if i != j:
+                # term *= (s - xj) / (xi - xj), on coefficient lists.
+                term = [(a - xj * b) / (xi - xj)
+                        for a, b in zip([0] + term, term + [0])]
+        acc = [a + t for a, t in zip(acc, term)]
+    return RatPoly(acc)
 
 
 def suite_mcore(limits: Limits, m: int = 3, kmax: int = 3,

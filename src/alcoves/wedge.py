@@ -10,12 +10,14 @@ roots.  Any consistent choice gives an isomorphic algebra; correctness
 is enforced by an exhaustive Jacobi sweep at build time, not by the
 convention.
 
-On top of the table sit exact-rational computations on wedge powers:
-the Casimir action (through the split invariant tensor, one pair of
-slots at a time), eigenspace dimensions as nullities, and the ideal
-generated by the image of the degree-one coboundary.  Everything is
-graded by Cartan weight, so ranks and nullities are computed block by
-block.
+On top of the table sit exact computations on wedge powers: the Casimir
+action (through the split invariant tensor, one pair of slots at a time),
+eigenspace dimensions as nullities, and the ideal generated by the image
+of the degree-one coboundary.  The Killing-dual basis is scaled by the
+common denominator D of the inverse Killing form, so the Casimir tables
+hold D times their values and every entry is a plain integer.
+Everything is graded by Cartan weight, so ranks and nullities are
+computed block by block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
@@ -43,6 +45,7 @@ class LieAlgebraTable:
     weights: tuple           # Cartan weight of each basis vector (fund coords)
     killing: tuple
     killing_inv: tuple
+    killing_den: int         # common denominator D of killing_inv
 
     def bracket(self, a: int, b: int):
         return self.brackets[a][b]
@@ -215,7 +218,7 @@ def build_chevalley(rs: RootSystem,
     table = LieAlgebraTable(
         rs=rs, dim=dim,
         brackets=tuple(tuple(row) for row in brackets),
-        weights=weights, killing=(), killing_inv=())
+        weights=weights, killing=(), killing_inv=(), killing_den=1)
 
     # ad matrices as dense columns for the Killing form.
     ad = []
@@ -234,6 +237,8 @@ def build_chevalley(rs: RootSystem,
     killing_inv = invert_rational(killing)
     object.__setattr__(table, "killing", killing)
     object.__setattr__(table, "killing_inv", killing_inv)
+    object.__setattr__(table, "killing_den",
+                       lcm(*(x.denominator for row in killing_inv for x in row)))
 
     _verify_jacobi(table)
     _verify_casimir_identity(table)
@@ -268,26 +273,31 @@ def _verify_jacobi(table: LieAlgebraTable) -> None:
                     raise AssertionError(f"Jacobi fails on triple {(a, b, c)}")
 
 
+@lru_cache(maxsize=None)
 def _dual_ad_rows(table: LieAlgebraTable):
-    """Sparse ad-action of the Killing-dual basis: rows[j][b] = [(i, c)]."""
+    """Sparse ad-action of D times the Killing-dual basis, in integers:
+    rows[j][b] = [(i, c)]."""
     dim = table.dim
+    den = table.killing_den
     rows = []
     for j in range(dim):
         col = [dict() for _ in range(dim)]
         for k in range(dim):
-            coeff = table.killing_inv[j][k]
-            if coeff == 0:
+            x = table.killing_inv[j][k]
+            if x == 0:
                 continue
+            coeff = x.numerator * (den // x.denominator)
             for b in range(dim):
                 for i, c in table.brackets[k][b]:
-                    col[b][i] = col[b].get(i, Fraction(0)) + coeff * c
+                    col[b][i] = col[b].get(i, 0) + coeff * c
         rows.append(tuple(tuple((i, c) for i, c in d.items() if c != 0)
                           for d in col))
     return tuple(rows)
 
 
 def _verify_casimir_identity(table: LieAlgebraTable) -> None:
-    """sum_j ad(x_j) ad(y_j) must be the identity on the algebra."""
+    """sum_j ad(x_j) ad(y_j) must be the identity on the algebra (D times
+    the identity with the scaled dual basis)."""
     dim = table.dim
     ady = _dual_ad_rows(table)
     for b in range(dim):
@@ -295,8 +305,8 @@ def _verify_casimir_identity(table: LieAlgebraTable) -> None:
         for j in range(dim):
             for i, c in ady[j][b]:
                 for i2, c2 in table.brackets[j][i]:
-                    acc[i2] = acc.get(i2, Fraction(0)) + c * c2
-        expect = {b: Fraction(1)}
+                    acc[i2] = acc.get(i2, 0) + c * c2
+        expect = {b: table.killing_den}
         acc = {i: c for i, c in acc.items() if c != 0}
         if acc != expect:
             raise AssertionError("Casimir does not act as the identity on the algebra")
@@ -305,7 +315,8 @@ def _verify_casimir_identity(table: LieAlgebraTable) -> None:
 @lru_cache(maxsize=None)
 def _split_casimir(table: LieAlgebraTable):
     """Pair table: omega[(a, b)] = sum_j [x_j, x_a] (x) [y_j, x_b] as a
-    tuple of (c, d, coeff).  Weight-preserving by construction."""
+    tuple of (c, d, coeff), scaled by D to integers.  Weight-preserving
+    by construction."""
     dim = table.dim
     ady = _dual_ad_rows(table)
     omega = {}
@@ -320,7 +331,7 @@ def _split_casimir(table: LieAlgebraTable):
                 for ic, cc in left:
                     for id_, cd in right:
                         key = (ic, id_)
-                        acc[key] = acc.get(key, Fraction(0)) + cc * cd
+                        acc[key] = acc.get(key, 0) + cc * cd
             terms = tuple((c, d, v) for (c, d), v in acc.items() if v != 0)
             if terms:
                 omega[(a, b)] = terms
@@ -361,11 +372,11 @@ def _wedge_blocks(table: LieAlgebraTable, k: int):
 
 
 def _apply_casimir(table: LieAlgebraTable, subset):
-    """theta(Cas) on a wedge basis vector: k times itself plus twice the
-    split invariant tensor applied to every slot pair."""
+    """D theta(Cas) on a wedge basis vector, in integers: k D times itself
+    plus twice the scaled split invariant tensor on every slot pair."""
     k = len(subset)
     omega = _split_casimir(table)
-    out = {subset: Fraction(k)}
+    out = {subset: k * table.killing_den}
     for s in range(k):
         for t in range(s + 1, k):
             terms = omega.get((subset[s], subset[t]))
@@ -379,7 +390,7 @@ def _apply_casimir(table: LieAlgebraTable, subset):
                 if res is None:
                     continue
                 sign, key = res
-                out[key] = out.get(key, Fraction(0)) + 2 * sign * v
+                out[key] = out.get(key, 0) + 2 * sign * v
     return {key: v for key, v in out.items() if v != 0}
 
 
@@ -393,20 +404,22 @@ def _check_matrix_ceiling(table: LieAlgebraTable, k: int, matrix_ceiling: int):
 def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
                            matrix_ceiling: int = Limits.wedge_matrix) -> int:
     """Dimension of the eigenvalue-k eigenspace of the Casimir action on
-    the k-th wedge power, by exact nullity per weight block."""
+    the k-th wedge power, by exact nullity of D (Cas - k) per weight
+    block."""
     _check_matrix_ceiling(table, k, matrix_ceiling)
     if k == 0:
         return 1
+    shift = k * table.killing_den
     total = 0
     for block in _wedge_blocks(table, k).values():
         pos = {s: i for i, s in enumerate(block)}
         rows = []
         for s in block:
             img = _apply_casimir(table, s)
-            row = [Fraction(0)] * len(block)
+            row = [0] * len(block)
             for key, v in img.items():
                 row[pos[key]] = v
-            row[pos[s]] -= k
+            row[pos[s]] -= shift
             rows.append(row)
         # Nullity of the transpose equals nullity of the matrix here
         # (square), so orientation does not matter.
@@ -484,7 +497,8 @@ def simple_root_index(rs: RootSystem, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _coboundary_images(table: LieAlgebraTable):
-    """d(u) = 1/2 sum_j x_j wedge [y_j, u] for each basis element u."""
+    """2D d(u) for each basis element u, in integers, where
+    d(u) = 1/2 sum_j x_j wedge [y_j, u]."""
     dim = table.dim
     ady = _dual_ad_rows(table)
     images = []
@@ -496,7 +510,7 @@ def _coboundary_images(table: LieAlgebraTable):
                 if res is None:
                     continue
                 sign, key = res
-                acc[key] = acc.get(key, Fraction(0)) + sign * c / 2
+                acc[key] = acc.get(key, 0) + sign * c
         images.append(tuple((key, v) for key, v in acc.items() if v != 0))
     return tuple(images)
 
@@ -521,7 +535,7 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
                     continue
                 res = _wedge_normalize(w_subset + (a, b))
                 sign, key = res
-                vec[key] = vec.get(key, Fraction(0)) + sign * c
+                vec[key] = vec.get(key, 0) + sign * c
             vec = {key: v for key, v in vec.items() if v != 0}
             if vec:
                 weight = tuple(x + y for x, y in
@@ -530,8 +544,7 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
     total = 0
     for weight, vecs in gen_blocks.items():
         cols = sorted({key for vec in vecs for key in vec})
-        pos = {key: i for i, key in enumerate(cols)}
-        rows = [[vec.get(key, Fraction(0)) for key in cols] for vec in vecs]
+        rows = [[vec.get(key, 0) for key in cols] for vec in vecs]
         total += exact_rank(rows)
     return total
 
@@ -546,7 +559,7 @@ def verify_ideal_top_vectors(table: LieAlgebraTable, ideals) -> dict:
         if k == 0:
             continue
         img = _apply_casimir(table, subset)
-        if img != {subset: Fraction(k)}:
+        if img != {subset: k * table.killing_den}:
             failures.append(xi)
     return {"checked": len(list(ideals)), "failures": failures,
             "ok": not failures}

@@ -1,6 +1,7 @@
 """Dominant alcove enumeration, folding, signs, and wall-count chains."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,9 @@ from alcoves.alcove import (apply_element, chi_at_type_rho, counts_by_length,
                             reduce_to_fundamental, two_rho_pairing_killing)
 from alcoves.ideals import _pairing_tables, is_abelian, is_ideal
 from alcoves.rootsystem import casimir_eigenvalue, parse_type, weyl_dimension
-from alcoves.series import bott_series
+from alcoves.series import _scaled_fk_rows, bott_series, euler_power
+from alcoves.wedge import (_apply_casimir, _coboundary_images, _dual_ad_rows,
+                           _split_casimir, build_chevalley)
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "C2", "G2", "B3", "C3", "D4",
                "A5", "D5", "F4", "E6"]
@@ -112,8 +115,9 @@ def test_ordering_contract(label):
 
 
 def test_integer_routes_create_no_fraction():
-    """The alcove search, the character, the Weyl dimension and the
-    pairing tables run on plain integers end to end."""
+    """The alcove search, the character, the Weyl dimension, the pairing
+    tables, the Euler powers, the k! f_k table, and the scaled Casimir and
+    coboundary tables run on plain integers end to end."""
     created = []
     original = Fraction.__dict__["__new__"]
 
@@ -123,6 +127,7 @@ def test_integer_routes_create_no_fraction():
 
     for label in ["A3", "B2", "G2"]:
         rs = parse_type(label)
+        table = build_chevalley(rs, dim_ceiling=rs.dim_g)
         Fraction.__new__ = staticmethod(counting_new)
         try:
             elements = enumerate_dominant.__wrapped__(rs, 6)
@@ -130,6 +135,13 @@ def test_integer_routes_create_no_fraction():
                 chi_at_type_rho(rs, e.lam)
                 weyl_dimension(rs, e.lam)
             _pairing_tables.__wrapped__(rs)
+            euler_power(rs.dim_g, 60)
+            _scaled_fk_rows(30)
+            _dual_ad_rows.__wrapped__(table)
+            _split_casimir.__wrapped__(table)
+            _coboundary_images.__wrapped__(table)
+            for subset in combinations(range(table.dim), 3):
+                _apply_casimir(table, subset)
         finally:
             Fraction.__new__ = original
         assert not created, (label, created[:3])

@@ -144,6 +144,18 @@ SIZE_ERRORS = [
     pytest.param(["verify", "--suite", "peterson", "--type", "A2"], "missing",
                  ["ALCOVES_LIMITS", "missing.json"],
                  id="missing-limits-file"),
+    pytest.param(["verify", "--suite", "peterson", "--type", "A40"], None,
+                 ["--type A40", "rank 40", "max_rank ceiling 8"],
+                 id="peterson-rank-unbounded"),
+    pytest.param(["ideals", "--type", "D9"], None,
+                 ["--type D9", "rank 9", "max_rank ceiling 8"],
+                 id="ideals-rank-unbounded"),
+    pytest.param(["mcore", "--m", "40"], None,
+                 ["--m 40", "rank 39", "max_rank ceiling 8"],
+                 id="mcore-m-rank-unbounded"),
+    pytest.param(["verify", "--suite", "mcore", "--m", "10"], None,
+                 ["--m 10", "rank 9", "max_rank ceiling 8"],
+                 id="verify-mcore-m-rank-unbounded"),
 ]
 
 
@@ -157,6 +169,30 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+# Each row: the module attribute replaced by a function that fails an
+# internal invariant check, and the command that reaches it.
+INTERNAL_ERRORS = [
+    pytest.param("alcoves.cli.euler_power",
+                 ["coeffs", "--type", "A2", "--kmax", "3", "--method", "series"],
+                 id="series-divisibility"),
+    pytest.param("alcoves.suites.build_chevalley",
+                 ["verify", "--suite", "seven-numbers", "--type", "A1"],
+                 id="chevalley-jacobi"),
+]
+
+
+@pytest.mark.parametrize("target,argv", INTERNAL_ERRORS)
+def test_internal_errors_exit_three(capsys, monkeypatch, target, argv):
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broken on purpose")
+
+    monkeypatch.setattr(target, broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: invariant broken on purpose\n"
 
 
 def test_summary_mode(capsys):

@@ -2,17 +2,60 @@
 
 Expected values for the single and cubed Euler product come from the
 classical sparse expansions, generated here independently: exponents
-n(3n - 1)/2 with sign (-1)^n, and (-1)^n (2n + 1) at n(n + 1)/2.
+n(3n - 1)/2 with sign (-1)^n, and (-1)^n (2n + 1) at n(n + 1)/2.  Two
+reference routes live here as oracles for the integer engine: the dense
+product of binomially expanded factors (1 - x^n)^e, and the rational
+logarithmic-derivative recurrence for f_k.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alcoves.rootsystem import parse_type
-from alcoves.series import (IntSeries, RatPoly, alcove_coefficient_series,
-                            bigraded_dims, bott_series, euler_power, f_poly,
-                            f_poly_direct, lehmer_probe, mu)
+from alcoves.series import (IntSeries, RatPoly, _scaled_fk_rows,
+                            alcove_coefficient_series, bigraded_dims,
+                            bott_series, euler_power, f_poly, f_poly_direct,
+                            lehmer_probe, mu)
+
+
+def dense_mul(a, b, order):
+    """Schoolbook product of coefficient lists, truncated after x^order."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def dense_euler_power(e, order):
+    """(prod (1 - x^n))^e by multiplying in each (1 - x^n)^e, expanded
+    binomially, for n <= order."""
+    acc = [1] + [0] * order
+    for n in range(1, order + 1):
+        factor = [0] * (order + 1)
+        for j in range(min(e, order // n) + 1):
+            factor[n * j] = (-1) ** j * comb(e, j)
+        acc = dense_mul(factor, acc, order)
+    return acc
+
+
+def fraction_f_polys(kmax):
+    """f_0..f_kmax as rational coefficient lists in s, by the recurrence
+    k f_k = -s sum_m m mu(m) f_{k-m}."""
+    polys = [[Fraction(1)]]
+    for n in range(1, kmax + 1):
+        acc = [Fraction(0)] * n
+        for m in range(1, n + 1):
+            c = m * mu(m)
+            for i, v in enumerate(polys[n - m]):
+                acc[i] += c * v
+        polys.append([Fraction(0)] + [-v / n for v in acc])
+    return polys
 
 
 def pentagonal_series(order):
@@ -64,9 +107,30 @@ def test_euler_power_24_gives_tau():
 
 
 def test_series_arithmetic_is_truncated_exactly():
-    a = IntSeries([1, 2, 3], 4)
-    b = IntSeries([1, -1], 4)
-    assert (a * b).coeffs == [1, 1, 1, -3, 0]
+    assert dense_mul([1, 2, 3], [1, -1], 4) == [1, 1, 1, -3, 0]
+    assert dense_mul([1, 2, 3], [1, -1], 2) == [1, 1, 1]
+    assert IntSeries([1, 2, 3], 4).coeffs == [1, 2, 3, 0, 0]
+    assert IntSeries([1, 2, 3], 1).coeffs == [1, 2]
+
+
+@given(e=st.integers(1, 300), order=st.integers(0, 120))
+def test_euler_power_matches_dense_products(e, order):
+    assert euler_power(e, order).coeffs == dense_euler_power(e, order)
+
+
+@given(e=st.integers(1, 300), k=st.integers(0, 60), extra=st.integers(0, 60))
+def test_f_poly_evaluates_to_euler_power(e, k, extra):
+    assert f_poly(k)(e) == euler_power(e, k + extra)[k]
+
+
+def test_integer_fk_table_matches_fraction_recurrence():
+    reference = fraction_f_polys(40)
+    rows = _scaled_fk_rows(40)
+    assert _scaled_fk_rows(40, _scaled_fk_rows(17)) == rows
+    for k in range(41):
+        assert all(isinstance(c, int) for c in rows[k])
+        assert [Fraction(c, factorial(k)) for c in rows[k]] == reference[k]
+        assert f_poly(k) == RatPoly(reference[k])
 
 
 @pytest.mark.parametrize("label,order", [

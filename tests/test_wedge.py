@@ -4,14 +4,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alcoves.ideals import dim_Ck, enumerate_abelian_ideals, max_abelian_dimension
 from alcoves.linalg import exact_rank, invert_rational, nullity
 from alcoves.rootsystem import parse_type
 from alcoves.series import euler_power
-from alcoves.wedge import (build_chevalley, casimir_eigenspace_dim,
-                           dg_ideal_dim, max_casimir_eigenvalue,
-                           verify_ideal_top_vectors)
+from alcoves.wedge import (_coboundary_images, build_chevalley,
+                           casimir_eigenspace_dim, dg_ideal_dim,
+                           max_casimir_eigenvalue, verify_ideal_top_vectors)
 
 TABLE_TYPES = ["A1", "A2", "B2", "C2", "G2"]
 
@@ -25,6 +27,30 @@ def test_exact_rank_and_nullity():
     assert inv == ((1, -1), (-1, 2))
     with pytest.raises(ValueError):
         invert_rational([[1, 1], [1, 1]])
+
+
+def rational_rank(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=9)))
+def test_exact_rank_matches_rational_elimination(rows):
+    assert exact_rank(rows) == rational_rank(rows)
+    scaled = [[Fraction(x, 6) for x in row] for row in rows]
+    assert exact_rank(scaled) == rational_rank(rows)
 
 
 @pytest.mark.parametrize("label", TABLE_TYPES)
@@ -79,6 +105,30 @@ def test_eigenspace_matches_ideal_sum(label):
     table = build_chevalley(rs)
     for k in range(rs.h_dual + 1):
         assert casimir_eigenspace_dim(table, k) == dim_Ck(rs, k)
+
+
+def rational_coboundary(table, u):
+    """d(u) = 1/2 sum_j x_j wedge [y_j, u] over the rationals, with the
+    dual basis y_j = sum_k killing_inv[j][k] x_k."""
+    acc = {}
+    for j in range(table.dim):
+        for k in range(table.dim):
+            for i, c in table.bracket(k, u):
+                if i != j:
+                    key, sign = ((j, i), 1) if j < i else ((i, j), -1)
+                    acc[key] = acc.get(key, 0) + \
+                        sign * c * table.killing_inv[j][k] / 2
+    return {key: v for key, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_coboundary_images_are_scaled_by_twice_the_denominator(label):
+    table = build_chevalley(parse_type(label))
+    scale = 2 * table.killing_den
+    for u, image in enumerate(_coboundary_images(table)):
+        assert all(type(v) is int for _, v in image)
+        expected = {key: v * scale for key, v in rational_coboundary(table, u).items()}
+        assert dict(image) == expected
 
 
 def test_coboundary_ideal_dims():
