@@ -101,8 +101,11 @@ def _integer_inverse(rs: RootSystem):
     return adj, den
 
 
-def _element_from_map(rs: RootSystem, w, tvec, x) -> AffineElement:
-    n_vec = tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
+def _wall_counts(rs: RootSystem, x) -> tuple:
+    return tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
+
+
+def _element_from_map(rs: RootSystem, w, tvec, x, n_vec) -> AffineElement:
     length = sum(n_vec)
     lam = []
     for xi, s in zip(x, rs.sym):
@@ -136,25 +139,28 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
     l = rs.rank
     identity = _element_from_map(
         rs, tuple(tuple(int(i == j) for j in range(l)) for i in range(l)),
-        (0,) * l, rs.sym)
-    gens = _generators(rs)
+        (0,) * l, rs.sym, _wall_counts(rs, rs.sym))
+    # x = (e.w gmat) sym + scale tvec = e.w (gmat sym) + scale tvec, so
+    # the point costs two matrix-vector products; the matrix product
+    # w = e.w gmat is formed only for an accepted candidate.
+    gens = [(gmat, gt, _mat_vec(gmat, rs.sym)) for gmat, gt in _generators(rs)]
     seen = {identity.x}
     out = [identity]
     frontier = [identity]
     for target in range(1, max_length + 1):
         new = []
         for e in frontier:
-            for gmat, gt in gens:
-                w = _mat_mul(e.w, gmat)
-                tvec = _vec_add(_mat_vec(e.w, gt), _coroot_to_eval(rs, e.z))
-                x = _affine(rs, w, tvec, rs.sym)
+            ez = _coroot_to_eval(rs, e.z)
+            for gmat, gt, gsym in gens:
+                tvec = _vec_add(_mat_vec(e.w, gt), ez)
+                x = _affine(rs, e.w, tvec, gsym)
                 if not _is_dominant(x) or x in seen:
                     continue
-                cand = _element_from_map(rs, w, tvec, x)
-                if cand.length != target:
+                n_vec = _wall_counts(rs, x)
+                if sum(n_vec) != target:
                     continue
                 seen.add(x)
-                new.append(cand)
+                new.append(_element_from_map(rs, _mat_mul(e.w, gmat), tvec, x, n_vec))
         new.sort(key=lambda e: e.n_vec)
         out.extend(new)
         frontier = new

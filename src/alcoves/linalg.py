@@ -1,49 +1,90 @@
 """Exact linear algebra over the rationals.
 
-Rank computations use fraction-free (Bareiss) elimination on integer
-matrices; rational input rows are cleared of denominators first, which
-does not change the row space.  Nothing here ever touches floating point.
+Rank computations use sparse fraction-free elimination on integer rows;
+rational input rows are cleared of denominators first, which does not
+change the row space.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
-def _integerize_row(row):
-    """Scale a nonzero row of ints/Fractions to coprime integers (times the
-    lcm of its denominators, divided by the gcd of the result)."""
-    denom = lcm(*(x.denominator for x in row if type(x) is not int))
-    ints = [int(x * denom) for x in row]
-    content = gcd(*ints)
-    return [x // content for x in ints] if content > 1 else ints
+def _sparse_row(row) -> dict:
+    """Nonzero entries of a row of ints/Fractions as {column: int}, scaled
+    by the lcm of the denominators and divided by the gcd of the result."""
+    sparse = {j: x for j, x in enumerate(row) if x}
+    if not sparse:
+        return sparse
+    denom = lcm(*(x.denominator for x in sparse.values() if type(x) is not int))
+    sparse = {j: int(x * denom) for j, x in sparse.items()}
+    content = gcd(*sparse.values())
+    if content > 1:
+        sparse = {j: x // content for j, x in sparse.items()}
+    return sparse
 
 
 def exact_rank(rows) -> int:
     """Rank of a matrix given as an iterable of rows of ints/Fractions.
 
-    Each step takes the first row with a nonzero leading entry as pivot,
-    eliminates the leading column from the other rows and drops it.  Rows
-    that become zero stay zero and are dropped too.
+    Sparse fraction-free elimination: rows are held as {column: int}
+    dicts.  Each step takes a shortest remaining row as pivot, choosing
+    its column with the fewest other nonzeros, and clears that column
+    from every other row by the integer update  a*row - b*pivot  (a, b the
+    pivot and row entries over their gcd), then divides the updated row
+    by its content.  Rows that become zero are dropped; every pivot adds
+    one to the rank.
     """
-    mat = [_integerize_row(r) for r in rows if any(r)]
+    live = {}
+    for row in rows:
+        sparse = _sparse_row(row)
+        if sparse:
+            live[len(live)] = sparse
+    where = {}  # column -> ids of live rows with a nonzero there
+    for i, row in live.items():
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
     rank = 0
-    prev = 1
-    while mat:
-        i = next((i for i, r in enumerate(mat) if r[0]), None)
-        if i is None:
-            mat = [r[1:] for r in mat]
-            continue
-        pivot = mat.pop(i)
-        pv = pivot[0]
-        tail = pivot[1:]
-        # Bareiss step: division by the previous pivot is exact.
-        mat = [row for row in
-               ([(pv * a - r[0] * b) // prev for a, b in zip(r[1:], tail)]
-                for r in mat)
-               if any(row)]
-        prev = pv
+    while heap:
+        size, p = heappop(heap)
+        pivot = live.get(p)
+        if pivot is None or len(pivot) != size:
+            continue  # stale entry: the row was dropped or has changed
+        del live[p]
+        for j in pivot:
+            where[j].discard(p)
+        col = min(pivot, key=lambda j: len(where[j]))
+        pv = pivot[col]
+        for i in where.pop(col):
+            row = live[i]
+            rc = row[col]
+            g = gcd(pv, rc)
+            a, b = pv // g, rc // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, v in pivot.items():
+                x = row.get(j, 0) - b * v
+                if x:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    if j != col:
+                        where[j].discard(i)
+            if not row:
+                del live[i]
+                continue
+            content = gcd(*row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
+            heappush(heap, (len(row), i))
         rank += 1
     return rank
 

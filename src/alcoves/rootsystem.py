@@ -200,6 +200,18 @@ def _positive_roots_by_closure(cartan, rank):
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
+def _exponents(heights) -> tuple:
+    """Exponents of a root system, as the dual of the partition of its
+    positive roots by height (Kostant); reducible systems included."""
+    heights = list(heights)
+    max_h = max(heights, default=0)
+    count_at = [heights.count(j) for j in range(1, max_h + 2)]
+    exponents = []
+    for j in range(1, max_h + 1):
+        exponents.extend([j] * (count_at[j - 1] - count_at[j]))
+    return tuple(sorted(exponents))
+
+
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the full exact root-system record for one simple type."""
@@ -258,14 +270,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     h_dual += 1
     h = sum(psi) + 1
 
-    # Exponents: the dual of the partition of positive roots by height.
-    heights = [sum(c) for c in positive]
-    max_h = max(heights)
-    count_at = [heights.count(j) for j in range(1, max_h + 2)]
-    exponents = []
-    for j in range(1, max_h + 1):
-        exponents.extend([j] * (count_at[j - 1] - count_at[j]))
-    exponents = tuple(sorted(exponents))
+    exponents = _exponents(sum(c) for c in positive)
     if sum(exponents) != len(positive) or len(exponents) != rank:
         raise AssertionError("height partition does not give the exponents")
 
@@ -317,6 +322,29 @@ def casimir_eigenvalue(rs: RootSystem, weight) -> Fraction:
     num = sum(w * s * (ci + t) for w, s, ci, t in
               zip(weight, rs.sym, c, rs.two_rho))
     return Fraction(num, 2 * rs.scale)
+
+
+@lru_cache(maxsize=None)
+def _parabolic_order(rs: RootSystem, subset: frozenset) -> int:
+    """|W_J| for the simple roots J = `subset`: the product of
+    (exponent + 1) over the root subsystem they span (Chevalley)."""
+    heights = (sum(c) for c in rs.positive_roots
+               if all(i in subset for i, x in enumerate(c) if x))
+    order = 1
+    for e in _exponents(heights):
+        order *= e + 1
+    return order
+
+
+def weyl_orbit_size(rs: RootSystem, weight) -> int:
+    """Size of the Weyl-group orbit of a dominant weight, |W| / |W_J|:
+    its stabilizer is the parabolic subgroup W_J generated by the simple
+    reflections of the coordinates where it vanishes."""
+    if any(x < 0 for x in weight):
+        raise ValueError(f"weight {weight} is not dominant")
+    zeros = frozenset(i for i, x in enumerate(weight) if x == 0)
+    return _parabolic_order(rs, frozenset(range(rs.rank))) // \
+        _parabolic_order(rs, zeros)
 
 
 def weyl_dimension(rs: RootSystem, weight) -> int:

@@ -17,11 +17,18 @@ of the degree-one coboundary.  The Killing-dual basis is scaled by the
 common denominator D of the inverse Killing form, so the Casimir tables
 hold D times their values and every entry is a plain integer.
 Everything is graded by Cartan weight, so ranks and nullities are
-computed block by block.
+computed block by block.  Both the eigenspace and the coboundary ideal
+are g-submodules, so their weight multiplicities are invariant under the
+Weyl group W: only the blocks of dominant weight are built, and each
+counts times the size |W| / |W_J| of its weight's orbit.  The sizes of
+the dominant blocks times their orbit sizes must add up to the whole
+wedge power; a mismatch is an internal error.  Ranks come from sparse
+fraction-free elimination (`linalg.exact_rank`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +37,7 @@ from math import comb, lcm
 
 from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
-from .rootsystem import RootSystem, casimir_eigenvalue
+from .rootsystem import RootSystem, casimir_eigenvalue, weyl_orbit_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,6 +360,36 @@ def _wedge_normalize(indices):
     return sign, tuple(idx)
 
 
+def _wedge_replace1(subset, s, c):
+    """`_wedge_normalize` of a sorted tuple with slot s set to c: the other
+    entries stay sorted, so c is inserted by bisection and the sign is the
+    parity of the number of places it moves."""
+    rest = subset[:s] + subset[s + 1:]
+    i = bisect_left(rest, c)
+    if i < len(rest) and rest[i] == c:
+        return None
+    return (-1 if (i - s) & 1 else 1), rest[:i] + (c,) + rest[i:]
+
+
+def _wedge_replace2(subset, s, t, c, d):
+    """`_wedge_normalize` of a sorted tuple with slots s < t set to c, d,
+    by bisection as in `_wedge_replace1`; c > d adds one transposition."""
+    if c == d:
+        return None
+    rest = subset[:s] + subset[s + 1:t] + subset[t + 1:]
+    i = bisect_left(rest, c)
+    j = bisect_left(rest, d)
+    n = len(rest)
+    if (i < n and rest[i] == c) or (j < n and rest[j] == d):
+        return None
+    odd = (i - s + j - t + 1 + (c > d)) & 1
+    if c < d:
+        key = rest[:i] + (c,) + rest[i:j] + (d,) + rest[j:]
+    else:
+        key = rest[:j] + (d,) + rest[j:i] + (c,) + rest[i:]
+    return (-1 if odd else 1), key
+
+
 def _weight_of_subset(table: LieAlgebraTable, subset):
     l = table.rs.rank
     out = [0] * l
@@ -371,6 +408,22 @@ def _wedge_blocks(table: LieAlgebraTable, k: int):
     return blocks
 
 
+def _dominant_blocks(table: LieAlgebraTable, k: int):
+    """The weight blocks of the k-th wedge power whose weight is dominant,
+    as {weight: (orbit size, block)}.  Weight multiplicities are
+    W-invariant, so these blocks times their orbit sizes must fill the
+    whole wedge power; that count is checked here."""
+    rs = table.rs
+    out = {weight: (weyl_orbit_size(rs, weight), block)
+           for weight, block in _wedge_blocks(table, k).items()
+           if all(x >= 0 for x in weight)}
+    if sum(orbit * len(block) for orbit, block in out.values()) != \
+            comb(table.dim, k):
+        raise AssertionError(
+            f"dominant blocks times orbit sizes do not fill degree {k}")
+    return out
+
+
 def _apply_casimir(table: LieAlgebraTable, subset):
     """D theta(Cas) on a wedge basis vector, in integers: k D times itself
     plus twice the scaled split invariant tensor on every slot pair."""
@@ -383,10 +436,7 @@ def _apply_casimir(table: LieAlgebraTable, subset):
             if not terms:
                 continue
             for c, d, v in terms:
-                repl = list(subset)
-                repl[s] = c
-                repl[t] = d
-                res = _wedge_normalize(repl)
+                res = _wedge_replace2(subset, s, t, c, d)
                 if res is None:
                     continue
                 sign, key = res
@@ -404,14 +454,18 @@ def _check_matrix_ceiling(table: LieAlgebraTable, k: int, matrix_ceiling: int):
 def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
                            matrix_ceiling: int = Limits.wedge_matrix) -> int:
     """Dimension of the eigenvalue-k eigenspace of the Casimir action on
-    the k-th wedge power, by exact nullity of D (Cas - k) per weight
-    block."""
+    the k-th wedge power.
+
+    The eigenspace is a g-submodule, so its weight multiplicities are
+    W-invariant: only the blocks of dominant weight are solved, by exact
+    nullity of D (Cas - k), and each counts times its orbit size.
+    """
     _check_matrix_ceiling(table, k, matrix_ceiling)
     if k == 0:
         return 1
     shift = k * table.killing_den
     total = 0
-    for block in _wedge_blocks(table, k).values():
+    for orbit, block in _dominant_blocks(table, k).values():
         pos = {s: i for i, s in enumerate(block)}
         rows = []
         for s in block:
@@ -423,7 +477,7 @@ def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
             rows.append(row)
         # Nullity of the transpose equals nullity of the matrix here
         # (square), so orientation does not matter.
-        total += nullity(rows, len(block))
+        total += orbit * nullity(rows, len(block))
     return total
 
 
@@ -459,9 +513,7 @@ def _theta_single(table: LieAlgebraTable, gen: int, subset):
     out = {}
     for s in range(len(subset)):
         for i, c in table.brackets[gen][subset[s]]:
-            repl = list(subset)
-            repl[s] = i
-            res = _wedge_normalize(repl)
+            res = _wedge_replace1(subset, s, i)
             if res is None:
                 continue
             sign, key = res
@@ -519,33 +571,39 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
                  matrix_ceiling: int = Limits.wedge_matrix) -> int:
     """Dimension of degree-k part of the ideal generated by the image of
     the degree-one coboundary: rank of all (k-2)-wedges against the d(u)
-    generators, weight block by weight block."""
+    generators, weight block by weight block.
+
+    The coboundary is g-equivariant, so the ideal is a g-submodule with
+    W-invariant weight multiplicities: a generator w wedge d(u) is built
+    only when its weight is dominant, and each dominant block's rank
+    counts times its orbit size.
+    """
     _check_matrix_ceiling(table, k, matrix_ceiling)
     if k < 2:
         return 0
     images = _coboundary_images(table)
-    # Group generators w wedge d(u) by total weight.
-    gen_blocks = {}
+    blocks = _dominant_blocks(table, k)
+    gen_blocks = {weight: [] for weight in blocks}
     for w_subset in combinations(range(table.dim), k - 2):
         w_weight = _weight_of_subset(table, w_subset)
         for u in range(table.dim):
+            weight = tuple(x + y for x, y in zip(w_weight, table.weights[u]))
+            vecs = gen_blocks.get(weight)
+            if vecs is None:
+                continue
             vec = {}
             for (a, b), c in images[u]:
                 if a in w_subset or b in w_subset:
                     continue
-                res = _wedge_normalize(w_subset + (a, b))
-                sign, key = res
+                sign, key = _wedge_normalize(w_subset + (a, b))
                 vec[key] = vec.get(key, 0) + sign * c
             vec = {key: v for key, v in vec.items() if v != 0}
             if vec:
-                weight = tuple(x + y for x, y in
-                               zip(w_weight, table.weights[u]))
-                gen_blocks.setdefault(weight, []).append(vec)
+                vecs.append(vec)
     total = 0
-    for weight, vecs in gen_blocks.items():
-        cols = sorted({key for vec in vecs for key in vec})
-        rows = [[vec.get(key, 0) for key in cols] for vec in vecs]
-        total += exact_rank(rows)
+    for weight, (orbit, block) in blocks.items():
+        rows = [[vec.get(key, 0) for key in block] for vec in gen_blocks[weight]]
+        total += orbit * exact_rank(rows)
     return total
 
 

@@ -1,7 +1,8 @@
 """Structure-constant tables and the exact wedge-power computations."""
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from alcoves.ideals import dim_Ck, enumerate_abelian_ideals, max_abelian_dimension
 from alcoves.linalg import exact_rank, invert_rational, nullity
-from alcoves.rootsystem import parse_type
+from alcoves.rootsystem import parse_type, weyl_orbit_size
 from alcoves.series import euler_power
-from alcoves.wedge import (_coboundary_images, build_chevalley,
+from alcoves.wedge import (_apply_casimir, _coboundary_images, _wedge_blocks,
+                           _wedge_normalize, _wedge_replace1, _wedge_replace2,
+                           _weight_of_subset, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
 
@@ -51,6 +54,65 @@ def test_exact_rank_matches_rational_elimination(rows):
     assert exact_rank(rows) == rational_rank(rows)
     scaled = [[Fraction(x, 6) for x in row] for row in rows]
     assert exact_rank(scaled) == rational_rank(rows)
+
+
+def dense_bareiss_rank(rows):
+    """The earlier dense rank routine, kept as an oracle: integerized rows,
+    first nonzero leading entry as pivot, Bareiss steps with exact
+    division by the previous pivot."""
+    mat = []
+    for r in rows:
+        if not any(r):
+            continue
+        denom = lcm(*(Fraction(x).denominator for x in r))
+        ints = [int(x * denom) for x in r]
+        content = gcd(*ints)
+        mat.append([x // content for x in ints])
+    rank = 0
+    prev = 1
+    while mat:
+        i = next((i for i, r in enumerate(mat) if r[0]), None)
+        if i is None:
+            mat = [r[1:] for r in mat]
+            continue
+        pivot = mat.pop(i)
+        pv = pivot[0]
+        tail = pivot[1:]
+        mat = [row for row in
+               ([(pv * a - r[0] * b) // prev for a, b in zip(r[1:], tail)]
+                for r in mat)
+               if any(row)]
+        prev = pv
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    """0/+-1/+-2 matrices at 10-25 % density, with duplicated rows, rows
+    that are combinations of two others, and all-zero rows mixed in."""
+    ncols = draw(st.integers(1, 16))
+    zeros = draw(st.integers(12, 36))
+    entry = st.sampled_from((0,) * zeros + (1, -1, 2, -2))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=16))
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        rows += [list(rows[i]) for i in draw(st.lists(index, max_size=4))]
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+            rows.append([2 * a - b for a, b in zip(rows[i], rows[j])])
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows))
+
+
+@given(sparse_matrices())
+def test_sparse_exact_rank_matches_rational_elimination(rows):
+    rank = rational_rank(rows)
+    assert exact_rank(rows) == rank
+    assert dense_bareiss_rank(rows) == rank
+    fractions = [[Fraction(x, i % 4 + 1) if j % 2 else x
+                  for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    assert rational_rank(fractions) == exact_rank(fractions)
 
 
 @pytest.mark.parametrize("label", TABLE_TYPES)
@@ -188,3 +250,129 @@ def test_signed_series_equals_eigenspace(label):
     series = euler_power(rs.dim_g, rs.h_dual)
     for k in range(rs.h_dual + 1):
         assert (-1) ** k * series[k] == casimir_eigenspace_dim(table, k)
+
+
+def full_eigenspace_dim(table, k):
+    """The full sweep, kept as an oracle: nullity of D (Cas - k) on every
+    weight block, dense rows, dense Bareiss rank."""
+    if k == 0:
+        return 1
+    shift = k * table.killing_den
+    total = 0
+    for block in _wedge_blocks(table, k).values():
+        pos = {s: i for i, s in enumerate(block)}
+        rows = []
+        for s in block:
+            row = [0] * len(block)
+            for key, v in _apply_casimir(table, s).items():
+                row[pos[key]] = v
+            row[pos[s]] -= shift
+            rows.append(row)
+        total += len(block) - dense_bareiss_rank(rows)
+    return total
+
+
+def full_dg_ideal_dim(table, k):
+    """The full sweep, kept as an oracle: every generator w wedge d(u),
+    ranked block by block with dense Bareiss."""
+    if k < 2:
+        return 0
+    images = _coboundary_images(table)
+    gen_blocks = {}
+    for w_subset in combinations(range(table.dim), k - 2):
+        w_weight = _weight_of_subset(table, w_subset)
+        for u in range(table.dim):
+            vec = {}
+            for (a, b), c in images[u]:
+                if a in w_subset or b in w_subset:
+                    continue
+                sign, key = _wedge_normalize(w_subset + (a, b))
+                vec[key] = vec.get(key, 0) + sign * c
+            vec = {key: v for key, v in vec.items() if v != 0}
+            if vec:
+                weight = tuple(x + y for x, y in zip(w_weight, table.weights[u]))
+                gen_blocks.setdefault(weight, []).append(vec)
+    total = 0
+    for vecs in gen_blocks.values():
+        cols = sorted({key for vec in vecs for key in vec})
+        total += dense_bareiss_rank([[vec.get(key, 0) for key in cols]
+                                     for vec in vecs])
+    return total
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["A3"])
+def test_dominant_blocks_match_full_sweep(label):
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    for k in range(rs.h_dual + 1):
+        assert casimir_eigenspace_dim(table, k) == full_eigenspace_dim(table, k)
+        assert dg_ideal_dim(table, k) == full_dg_ideal_dim(table, k)
+
+
+def orbit_by_reflections(rs, weight):
+    """Weyl orbit of a weight by closure under the simple reflections
+    s_i(mu) = mu - mu_i alpha_i, in fundamental coordinates (alpha_i is
+    column i of the Cartan matrix)."""
+    seen = {tuple(weight)}
+    todo = [tuple(weight)]
+    while todo:
+        mu = todo.pop()
+        for i in range(rs.rank):
+            nu = tuple(m - mu[i] * row[i] for m, row in zip(mu, rs.cartan))
+            if nu not in seen:
+                seen.add(nu)
+                todo.append(nu)
+    return seen
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["A3", "B3"])
+def test_dominant_blocks_times_orbits_fill_each_degree(label):
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    for k in range(rs.h_dual + 1):
+        blocks = _wedge_blocks(table, k)
+        dominant = [w for w in blocks if all(x >= 0 for x in w)]
+        for w in dominant:
+            orbit = orbit_by_reflections(rs, w)
+            assert weyl_orbit_size(rs, w) == len(orbit)
+            # Weight multiplicities are constant on the orbit.
+            assert {len(blocks.get(mu, ())) for mu in orbit} == {len(blocks[w])}
+        assert sum(weyl_orbit_size(rs, w) * len(blocks[w]) for w in dominant) \
+            == comb(rs.dim_g, k)
+
+
+@pytest.mark.parametrize("label, order", [("G2", 12), ("A3", 24), ("B3", 48)])
+def test_regular_orbit_is_the_whole_group(label, order):
+    rs = parse_type(label)
+    regular = (1,) * rs.rank
+    assert weyl_orbit_size(rs, regular) == order
+    assert len(orbit_by_reflections(rs, regular)) == order
+    assert weyl_orbit_size(rs, (0,) * rs.rank) == 1
+
+
+def test_bad_orbit_count_is_an_internal_error(monkeypatch):
+    table = build_chevalley(parse_type("G2"))
+    monkeypatch.setattr("alcoves.wedge.weyl_orbit_size", lambda rs, w: 1)
+    with pytest.raises(AssertionError):
+        casimir_eigenspace_dim(table, 2)
+    with pytest.raises(AssertionError):
+        dg_ideal_dim(table, 2)
+
+
+@pytest.mark.parametrize("label", ["G2", "A3"])
+def test_slot_replacement_matches_generic_normalize(label):
+    rs = parse_type(label)
+    dim = rs.dim_g
+    for subset in combinations(range(dim), 3):
+        for s in range(3):
+            for c in range(dim):
+                repl = list(subset)
+                repl[s] = c
+                assert _wedge_replace1(subset, s, c) == _wedge_normalize(repl)
+            for t in range(s + 1, 3):
+                for c in range(dim):
+                    for d in range(dim):
+                        repl = list(subset)
+                        repl[s], repl[t] = c, d
+                        assert _wedge_replace2(subset, s, t, c, d) == \
+                            _wedge_normalize(repl)
