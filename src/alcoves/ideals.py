@@ -5,6 +5,21 @@ adding any simple root that yields a root) in which no two members sum to
 a root.  Enumeration is a depth-first search over roots in decreasing
 height with closure and commutativity pruning; the power-of-two count is
 asserted by callers, never assumed by the generator.
+
+The two bound sweeps are depth-first searches over exact integer tables
+(`_pairing_tables`, with P symmetric) that extend prefix sums instead of
+recomputing each candidate.  The subset sweep carries, for a prefix S,
+its excess `acc` and the increments lv[b] = R[b] + P[b][b] +
+2 sum_{a in S} P[a][b], because
+
+    excess(S u T) = acc + sum_{b in T} lv[b] + 2 sum_{b < b' in T} P[b][b'].
+
+With r roots still to choose from indices >= start, the last sum has
+r(r-1)/2 terms, each at most pmax = max(0, max_{b < b'} P[b][b']), so no
+completion reaches the bound when the r largest lv[b] with b >= start add
+up to less than bound - acc - r(r-1) pmax.  Such a subtree holds neither a
+violation nor an equality case and is skipped, so both are found exactly.
+The partition sweep prunes nothing; it only carries its sums.
 """
 
 from __future__ import annotations
@@ -172,29 +187,59 @@ def _pairing_tables(rs: RootSystem):
 
 
 def verify_subset_bound(rs: RootSystem, k: int, max_candidates: int = 2_000_000) -> dict:
-    """Sweep all k-subsets of positive roots: the shifted norm excess never
-    exceeds k, with equality exactly on the abelian-ideal root sets."""
-    total = comb(rs.num_positive, k)
+    """All k-subsets of positive roots: the shifted norm excess never
+    exceeds k, with equality exactly on the abelian-ideal root sets.
+
+    A depth-first search over increasing index tuples carries the excess
+    `acc` of the prefix S and the increments `lv[b]`, so a leaf is one
+    comparison.  A subtree is skipped when no r-root completion can reach
+    the bound (see the module docstring), so `subsets` counts the
+    candidates covered, `visited` the nodes expanded and `pruned` the
+    subtrees skipped.
+    """
+    m = rs.num_positive
+    total = comb(m, k)
     if total > max_candidates:
         raise ValueError(f"{total} subsets exceed the ceiling {max_candidates}")
     P, R, unit = _pairing_tables(rs)
     bound = k * unit
+    pair_max = max([0] + [P[a][b] for a in range(m) for b in range(a + 1, m)])
     violations = []
     equality = set()
-    for subset in combinations(range(rs.num_positive), k):
-        acc = 0
-        for i, a in enumerate(subset):
-            acc += R[a] + P[a][a]
-            row = P[a]
-            for b in subset[i + 1:]:
-                acc += 2 * row[b]
-        if acc > bound:
-            violations.append(subset)
-        elif acc == bound:
-            equality.add(frozenset(subset))
+    chosen = []
+    visited = pruned = 0
+
+    def dfs(start: int, r: int, acc: int, lv: list):
+        nonlocal visited, pruned
+        need = bound - acc
+        tail = sorted(lv[start:], reverse=True)
+        if sum(tail[:r]) + r * (r - 1) * pair_max < need:
+            pruned += 1
+            return
+        visited += 1
+        if r == 1:
+            for b in range(start, m):
+                if lv[b] > need:
+                    violations.append((*chosen, b))
+                elif lv[b] == need:
+                    equality.add(frozenset((*chosen, b)))
+            return
+        for a in range(start, m - r + 1):
+            chosen.append(a)
+            dfs(a + 1, r - 1, acc + lv[a],
+                [x + 2 * p for x, p in zip(lv, P[a])])
+            chosen.pop()
+
+    if k == 0:
+        visited = 1
+        equality.add(frozenset())
+    elif k <= m:
+        dfs(0, k, 0, [R[b] + P[b][b] for b in range(m)])
     expected = {xi.roots for xi in enumerate_abelian_ideals(rs) if xi.k == k}
     return {
         "subsets": total,
+        "visited": visited,
+        "pruned": pruned,
         "violations": violations,
         "equality_sets": equality,
         "expected_equality_sets": expected,
@@ -202,53 +247,74 @@ def verify_subset_bound(rs: RootSystem, k: int, max_candidates: int = 2_000_000)
     }
 
 
-def _partitions_with_budget(m: int, budget: int):
-    """All vectors q in Z_+^m with sum q_i (q_i + 1) / 2 <= budget."""
-    q = [0] * m
-
-    def rec(pos: int, remaining: int):
-        if pos == m:
-            yield tuple(q)
-            return
-        v = 0
-        while True:
-            cost = v * (v + 1) // 2
-            if cost > remaining:
-                break
-            q[pos] = v
-            yield from rec(pos + 1, remaining - cost)
-            v += 1
-        q[pos] = 0
-
-    yield from rec(0, budget)
+def _count_partitions(m: int, budget: int) -> int:
+    """The number of q in Z_+^m with sum q_i (q_i + 1) / 2 <= budget."""
+    ways = [1] + [0] * budget          # ways[c]: prefixes of exact cost c
+    for _ in range(m):
+        nxt = [0] * (budget + 1)
+        for c, w in enumerate(ways):
+            if w:
+                v = t = 0
+                while c + t <= budget:
+                    nxt[c + t] += w
+                    v += 1
+                    t += v
+        ways = nxt
+    return sum(ways)
 
 
 def verify_root_partition_bound(rs: RootSystem, cas_ceiling: int,
                                 max_candidates: int = 2_000_000) -> dict:
-    """Sweep positive-root partitions q with triangular cost <= ceiling:
-    the cost dominates the shifted norm excess of the assembled vector,
-    with equality exactly on the wall-count vectors of dominant alcoves."""
+    """Positive-root partitions q with triangular cost <= ceiling: the cost
+    dominates the shifted norm excess of the assembled vector, with
+    equality exactly on the wall-count vectors of dominant alcoves.
+
+    The depth-first search fixes q[0], q[1], ... in turn, each counting up
+    from 0, and carries the unspent budget, the excess and the column sums
+    col[b] = sum_{a < pos} q[a] P[a][b] of the prefix, so setting
+    q[pos] = v adds v R[pos] + v^2 P[pos][pos] + 2 v col[pos] to the
+    excess.  Once the budget is spent the rest of q is zero, so that
+    candidate is checked at once.  `partitions` counts the candidates and
+    `visited` the nodes expanded.
+    """
     P, R, unit = _pairing_tables(rs)
-    count = 0
+    m = rs.num_positive
+    count = _count_partitions(m, cas_ceiling)
+    if count > max_candidates:
+        raise ValueError(f"{count} partitions exceed the ceiling {max_candidates}")
+    q = [0] * m
     violations = []
     equality = set()
-    for q in _partitions_with_budget(rs.num_positive, cas_ceiling):
-        count += 1
-        if count > max_candidates:
-            raise ValueError(f"partition sweep exceeded ceiling {max_candidates}")
-        cost = sum(v * (v + 1) // 2 for v in q)
-        excess = sum(R[a] * v for a, v in enumerate(q) if v)
-        excess += sum(q[a] * q[b] * P[a][b]
-                      for a in range(len(q)) if q[a]
-                      for b in range(len(q)) if q[b])
-        if cost * unit < excess:
-            violations.append(q)
-        elif cost * unit == excess:
-            equality.add(q)
+    visited = 0
+
+    def dfs(pos: int, remaining: int, excess: int, col: list):
+        nonlocal visited
+        visited += 1
+        row = P[pos]
+        lin = R[pos] + 2 * col[pos]
+        diag = row[pos]
+        v = t = 0
+        while t <= remaining:
+            q[pos] = v
+            ex = excess + v * (lin + v * diag)
+            spent = (cas_ceiling - remaining + t) * unit
+            if pos + 1 < m and t < remaining:
+                dfs(pos + 1, remaining - t, ex,
+                    [c + v * p for c, p in zip(col, row)] if v else col)
+            elif spent < ex:
+                violations.append(tuple(q))
+            elif spent == ex:
+                equality.add(tuple(q))
+            v += 1
+            t += v
+        q[pos] = 0
+
+    dfs(0, cas_ceiling, 0, [0] * m)
     expected = {e.n_vec for e in enumerate_dominant(rs, cas_ceiling)
                 if e.cas <= cas_ceiling}
     return {
         "partitions": count,
+        "visited": visited,
         "violations": violations,
         "equality_sets": equality,
         "expected_equality_sets": expected,

@@ -12,8 +12,7 @@ from math import comb
 from alcoves.alcove import (chi_at_type_rho, counts_by_length,
                             enumerate_dominant, finite_part_length, in_wf2,
                             two_rho_pairing_killing)
-from alcoves.ideals import (enumerate_abelian_ideals,
-                            verify_root_partition_bound, verify_subset_bound)
+from alcoves.ideals import enumerate_abelian_ideals
 from alcoves.limits import Limits
 from alcoves.report import PASS
 from alcoves.rootsystem import (casimir_eigenvalue, heisenberg_count,
@@ -44,6 +43,12 @@ class Budget:
             assert elapsed < self.seconds, \
                 f"{self.name} exceeded its {self.seconds}s budget"
         return False
+
+
+def _assert_all_pass(report, what):
+    assert report.checks, what
+    failed = [c.claim for c in report.checks if c.status != PASS]
+    assert not failed, (what, failed)
 
 
 def test_criterion_01_ramanujan_coefficients():
@@ -85,8 +90,7 @@ def test_criterion_03_seven_numbers():
         for label in ["A1", "A2", "B2", "G2", "A3", "C3"]:
             report = run_suite("seven-numbers", label, wider.get(label, Limits()))
             assert len(report.checks) == parse_type(label).h_dual + 2, label
-            failed = [c.claim for c in report.checks if c.status != PASS]
-            assert not failed, (label, failed)
+            _assert_all_pass(report, label)
 
 
 def test_criterion_04_vanishing_coefficients():
@@ -123,20 +127,25 @@ def test_criterion_06_loop_space_counts():
 
 
 def test_criterion_07_subset_norm_bound():
-    with Budget("criterion 7: exhaustive k-subset norm bound", 120):
-        for label in ["A2", "B2", "G2"]:
-            rs = parse_type(label)
-            for k in range(rs.num_positive + 1):
-                assert verify_subset_bound(rs, k)["ok"], (label, k)
-        rs = parse_type("A3")
-        for k in range(5):
-            assert verify_subset_bound(rs, k)["ok"], ("A3", k)
+    with Budget("criterion 7: exhaustive k-subset norm bound (every k on "
+                "A2 B2 G2 A3, k <= 6 on F4)", 120):
+        for label in ["A2", "B2", "G2", "A3"]:
+            report = run_suite("subset-bound", label, Limits())
+            assert len(report.checks) == parse_type(label).num_positive + 1
+            _assert_all_pass(report, label)
+        report = run_suite("subset-bound", "F4", Limits(), kmax=6)
+        assert len(report.checks) == 7
+        _assert_all_pass(report, "F4")
 
 
 def test_criterion_08_root_partition_bound():
-    with Budget("criterion 8: root-partition triangular bound, cost <= 6", 120):
-        for label in ["A1", "A2", "B2"]:
-            assert verify_root_partition_bound(parse_type(label), 6)["ok"], label
+    with Budget("criterion 8: root-partition triangular bound, cost <= 6 "
+                "(A1 A2 B2) and cost <= 10 (A4)", 120):
+        for label, ceiling in [("A1", 6), ("A2", 6), ("B2", 6), ("A4", 10)]:
+            report = run_suite("root-partitions", label, Limits(),
+                               cas_ceiling=ceiling)
+            assert len(report.checks) == 2
+            _assert_all_pass(report, label)
 
 
 def test_criterion_09_character_signs():

@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from alcoves.cli import main
 from alcoves.limits import Limits, load_limits
+from alcoves.suites import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +55,18 @@ def test_byte_identical_output(capsys):
     assert first == second
     assert first.endswith("\n")
     assert "\r" not in first
+
+
+TYPED_SUITES = sorted(name for name, (_, typed) in SUITES.items() if typed)
+
+
+@given(suite=st.sampled_from(TYPED_SUITES),
+       label=st.sampled_from(["A1", "A2", "B2", "G2", "A3"]))
+def test_canonical_report_is_deterministic(suite, label):
+    # A3 (dim 15) is over the default Chevalley ceiling.
+    assume((suite, label) != ("seven-numbers", "A3"))
+    first = run_suite(suite, label, Limits()).canonical()
+    assert run_suite(suite, label, Limits()).canonical() == first
 
 
 def test_alcoves_listing(capsys):

@@ -1,7 +1,13 @@
 """Abelian ideal enumeration, the alcove bijection, and the two bounds."""
 
-import pytest
+from itertools import combinations
+from math import comb
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from alcoves import ideals
 from alcoves.alcove import chi_at_type_rho, enumerate_dominant, in_wf2
 from alcoves.ideals import (dim_Ck, enumerate_abelian_ideals, ideal_to_sigma,
                             is_abelian, is_ideal, max_abelian_dimension,
@@ -214,3 +220,160 @@ def test_root_partition_bound(label):
 def test_root_partition_scale_guard():
     with pytest.raises(ValueError):
         verify_root_partition_bound(parse_type("A2"), 6, max_candidates=3)
+
+
+def full_subset_sweep(rs, k):
+    """Oracle: the excess of every k-subset, each computed from scratch."""
+    P, R, unit = ideals._pairing_tables(rs)
+    bound = k * unit
+    violations = []
+    equality = set()
+    for subset in combinations(range(rs.num_positive), k):
+        acc = 0
+        for i, a in enumerate(subset):
+            acc += R[a] + P[a][a]
+            for b in subset[i + 1:]:
+                acc += 2 * P[a][b]
+        if acc > bound:
+            violations.append(subset)
+        elif acc == bound:
+            equality.add(frozenset(subset))
+    return {"subsets": comb(rs.num_positive, k), "violations": violations,
+            "equality_sets": equality}
+
+
+def _partitions_with_budget(m, budget):
+    """All vectors q in Z_+^m with sum q_i (q_i + 1) / 2 <= budget, in
+    lexicographic order."""
+    q = [0] * m
+
+    def rec(pos, remaining):
+        if pos == m:
+            yield tuple(q)
+            return
+        v = 0
+        while v * (v + 1) // 2 <= remaining:
+            q[pos] = v
+            yield from rec(pos + 1, remaining - v * (v + 1) // 2)
+            v += 1
+        q[pos] = 0
+
+    yield from rec(0, budget)
+
+
+def full_partition_sweep(rs, cas_ceiling):
+    """Oracle: the cost and excess of every partition, from scratch."""
+    P, R, unit = ideals._pairing_tables(rs)
+    count = 0
+    violations = []
+    equality = set()
+    for q in _partitions_with_budget(rs.num_positive, cas_ceiling):
+        count += 1
+        cost = sum(v * (v + 1) // 2 for v in q)
+        excess = sum(R[a] * v for a, v in enumerate(q) if v)
+        excess += sum(q[a] * q[b] * P[a][b]
+                      for a in range(len(q)) if q[a]
+                      for b in range(len(q)) if q[b])
+        if cost * unit < excess:
+            violations.append(q)
+        elif cost * unit == excess:
+            equality.add(q)
+    return {"partitions": count, "violations": violations,
+            "equality_sets": equality}
+
+
+def _assert_same_sweeps(rs, ks, cas_ceiling):
+    for k in ks:
+        got = verify_subset_bound(rs, k)
+        want = full_subset_sweep(rs, k)
+        assert {key: got[key] for key in want} == want, (rs.label, k)
+    got = verify_root_partition_bound(rs, cas_ceiling)
+    want = full_partition_sweep(rs, cas_ceiling)
+    assert {key: got[key] for key in want} == want, (rs.label, cas_ceiling)
+
+
+# (type, largest k, partition ceiling); None sweeps every k.
+ORACLE_CASES = [("A1", None, 10), ("A2", None, 10), ("A3", None, 8),
+                ("A4", None, 10), ("B2", None, 8), ("B3", None, 6),
+                ("C3", None, 6), ("C4", None, 4), ("D4", None, 5),
+                ("G2", None, 8), ("F4", 6, 3), ("E6", 3, 2)]
+
+
+@pytest.mark.parametrize("label,kmax,cas_ceiling", ORACLE_CASES)
+def test_sweeps_match_full_oracles(label, kmax, cas_ceiling):
+    rs = parse_type(label)
+    kmax = rs.num_positive if kmax is None else kmax
+    _assert_same_sweeps(rs, range(kmax + 1), cas_ceiling)
+
+
+_TRUE_TABLES = ideals._pairing_tables
+# 45 = the 36 pairs and 9 roots of B3/C3, the largest types drawn below.
+NOISE = st.lists(st.integers(-3, 3), min_size=45, max_size=45)
+
+
+def _perturbed(rs, dp, dr, du):
+    """The true tables with symmetric noise on P, noise on R and a shifted
+    unit; the bounds then fail and meet equality in new places."""
+    P, R, unit = _TRUE_TABLES(rs)
+    m = rs.num_positive
+    noise = [[0] * m for _ in range(m)]
+    for (a, b), d in zip(combinations(range(m), 2), dp):
+        noise[a][b] = noise[b][a] = d
+    for a, d in zip(range(m), dp[len(dp) - m:]):
+        noise[a][a] = d
+    P = tuple(tuple(p + d for p, d in zip(row, nrow))
+              for row, nrow in zip(P, noise))
+    R = tuple(r + d for r, d in zip(R, dr))
+    return P, R, unit + du
+
+
+@given(label=st.sampled_from(["A2", "A3", "B2", "G2", "B3", "C3"]),
+       dp=NOISE, dr=NOISE, du=st.integers(-3, 2))
+def test_sweeps_match_oracles_on_perturbed_tables(label, dp, dr, du):
+    """The prune bound must hold for any symmetric table, not only for the
+    true one, whose sweeps have no violations to lose."""
+    rs = parse_type(label)
+    tables = _perturbed(rs, dp, dr, du)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_pairing_tables", lambda _: tables)
+        _assert_same_sweeps(rs, range(rs.num_positive + 1), 4)
+
+
+def test_perturbed_tables_reach_violations_and_new_equalities():
+    rs = parse_type("B3")
+    tables = _perturbed(rs, [1] * 45, [2] * 45, -1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_pairing_tables", lambda _: tables)
+        subsets = [verify_subset_bound(rs, k) for k in range(10)]
+        partitions = verify_root_partition_bound(rs, 4)
+    assert all(r["violations"] for r in subsets[1:])
+    assert any(r["equality_sets"] != r["expected_equality_sets"]
+               for r in subsets)
+    assert partitions["violations"]
+
+
+def test_sweeps_report_their_work():
+    rs = parse_type("F4")
+    res = verify_subset_bound(rs, 6)
+    assert res["ok"] and res["subsets"] == comb(24, 6)
+    assert res["pruned"] > 0
+    assert res["visited"] + res["pruned"] < res["subsets"]
+    part = verify_root_partition_bound(parse_type("A4"), 10)
+    assert part["ok"] and part["partitions"] == 17719
+    assert 0 < part["visited"] < part["partitions"]
+
+
+ROUND_TRIP_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                    "D4", "G2", "F4"]
+
+
+@given(label=st.sampled_from(ROUND_TRIP_TYPES), pick=st.integers(0, 2 ** 4 - 1))
+def test_ideal_alcove_round_trip_property(label, pick):
+    rs = parse_type(label)
+    all_ideals = enumerate_abelian_ideals(rs)
+    xi = all_ideals[pick % len(all_ideals)]
+    e = ideal_to_sigma(rs, xi)
+    assert in_wf2(rs, e)
+    assert (e.lam, e.length, e.cas) == (xi.lam, xi.k, xi.k)
+    assert sigma_to_ideal(rs, e) == xi
+    assert ideal_to_sigma(rs, sigma_to_ideal(rs, e)) == e
