@@ -19,7 +19,7 @@ class Limits:
     subset_candidates: int = 2_000_000      # k-subset sweeps of positive roots
     partition_candidates: int = 2_000_000   # root-partition and core sweeps
     chevalley_dim: int = 14                 # largest algebra built as a table
-    wedge_matrix: int = 3432                # largest wedge-power dimension
+    wedge_matrix: int = 3432                # dominant-block rows per wedge degree
     max_length: int = 64                    # alcove enumeration depth
     max_order: int = 128                    # series truncation order
     max_rank: int = 8                       # rank of --type, and m - 1 for --m

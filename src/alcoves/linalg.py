@@ -13,9 +13,11 @@ from math import gcd, lcm
 
 
 def _sparse_row(row) -> dict:
-    """Nonzero entries of a row of ints/Fractions as {column: int}, scaled
-    by the lcm of the denominators and divided by the gcd of the result."""
-    sparse = {j: x for j, x in enumerate(row) if x}
+    """Nonzero entries of a row of ints/Fractions, given as a list or as a
+    {column: value} dict, as {column: int}, scaled by the lcm of the
+    denominators and divided by the gcd of the result."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    sparse = {j: x for j, x in items if x}
     if not sparse:
         return sparse
     denom = lcm(*(x.denominator for x in sparse.values() if type(x) is not int))
@@ -27,7 +29,8 @@ def _sparse_row(row) -> dict:
 
 
 def exact_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of rows of ints/Fractions.
+    """Rank of a matrix given as an iterable of rows of ints/Fractions,
+    each a list or a {column: value} dict of its nonzero entries.
 
     Sparse fraction-free elimination: rows are held as {column: int}
     dicts.  Each step takes a shortest remaining row as pivot, choosing

@@ -22,8 +22,12 @@ are g-submodules, so their weight multiplicities are invariant under the
 Weyl group W: only the blocks of dominant weight are built, and each
 counts times the size |W| / |W_J| of its weight's orbit.  The sizes of
 the dominant blocks times their orbit sizes must add up to the whole
-wedge power; a mismatch is an internal error.  Ranks come from sparse
-fraction-free elimination (`linalg.exact_rank`).
+wedge power; a mismatch is an internal error.  Wedge basis subsets are
+enumerated by `_wedge_blocks` alone, and every oracle takes its blocks
+from `_dominant_blocks`, which also refuses a degree whose dominant
+blocks hold more rows than `Limits.wedge_matrix`.  Ranks come from
+sparse fraction-free elimination (`linalg.exact_rank`) on rows given as
+{column: value} dicts.
 """
 
 from __future__ import annotations
@@ -170,7 +174,8 @@ def build_chevalley(rs: RootSystem,
     """
     if rs.dim_g > dim_ceiling:
         raise ValueError(
-            f"dim {rs.dim_g} exceeds the ceiling {dim_ceiling}; raise it explicitly")
+            f"dim {rs.dim_g} exceeds the chevalley_dim ceiling {dim_ceiling}; "
+            "raise it explicitly")
     m = rs.num_positive
     l = rs.rank
     dim = rs.dim_g
@@ -401,18 +406,20 @@ def _weight_of_subset(table: LieAlgebraTable, subset):
 
 
 def _wedge_blocks(table: LieAlgebraTable, k: int):
-    """k-subsets of the basis grouped by total Cartan weight."""
+    """k-subsets of the basis grouped by total Cartan weight: the one
+    place where wedge basis subsets are enumerated."""
     blocks = {}
     for subset in combinations(range(table.dim), k):
         blocks.setdefault(_weight_of_subset(table, subset), []).append(subset)
     return blocks
 
 
-def _dominant_blocks(table: LieAlgebraTable, k: int):
+def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
     """The weight blocks of the k-th wedge power whose weight is dominant,
     as {weight: (orbit size, block)}.  Weight multiplicities are
     W-invariant, so these blocks times their orbit sizes must fill the
-    whole wedge power; that count is checked here."""
+    whole wedge power; that count is checked here.  Their total size,
+    the rows every wedge oracle builds, must not exceed `matrix_ceiling`."""
     rs = table.rs
     out = {weight: (weyl_orbit_size(rs, weight), block)
            for weight, block in _wedge_blocks(table, k).items()
@@ -421,6 +428,10 @@ def _dominant_blocks(table: LieAlgebraTable, k: int):
             comb(table.dim, k):
         raise AssertionError(
             f"dominant blocks times orbit sizes do not fill degree {k}")
+    rows = sum(len(block) for _, block in out.values())
+    if rows > matrix_ceiling:
+        raise ValueError(f"wedge degree {k} has {rows} dominant-block rows, "
+                         f"over the wedge_matrix ceiling {matrix_ceiling}")
     return out
 
 
@@ -444,13 +455,6 @@ def _apply_casimir(table: LieAlgebraTable, subset):
     return {key: v for key, v in out.items() if v != 0}
 
 
-def _check_matrix_ceiling(table: LieAlgebraTable, k: int, matrix_ceiling: int):
-    size = comb(table.dim, k)
-    if size > matrix_ceiling:
-        raise ValueError(
-            f"wedge degree {k} has dimension {size} over the ceiling {matrix_ceiling}")
-
-
 def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
                            matrix_ceiling: int = Limits.wedge_matrix) -> int:
     """Dimension of the eigenvalue-k eigenspace of the Casimir action on
@@ -460,20 +464,14 @@ def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
     W-invariant: only the blocks of dominant weight are solved, by exact
     nullity of D (Cas - k), and each counts times its orbit size.
     """
-    _check_matrix_ceiling(table, k, matrix_ceiling)
-    if k == 0:
-        return 1
     shift = k * table.killing_den
     total = 0
-    for orbit, block in _dominant_blocks(table, k).values():
+    for orbit, block in _dominant_blocks(table, k, matrix_ceiling).values():
         pos = {s: i for i, s in enumerate(block)}
         rows = []
-        for s in block:
-            img = _apply_casimir(table, s)
-            row = [0] * len(block)
-            for key, v in img.items():
-                row[pos[key]] = v
-            row[pos[s]] -= shift
+        for i, s in enumerate(block):
+            row = {pos[key]: v for key, v in _apply_casimir(table, s).items()}
+            row[i] = row.get(i, 0) - shift
             rows.append(row)
         # Nullity of the transpose equals nullity of the matrix here
         # (square), so orientation does not matter.
@@ -489,23 +487,12 @@ def max_casimir_eigenvalue(table: LieAlgebraTable, k: int,
     dominant weight is a highest weight exactly when the raising
     operators have a joint kernel on its weight block.
     """
-    _check_matrix_ceiling(table, k, matrix_ceiling)
-    if k == 0:
-        return Fraction(0)
-    rs = table.rs
-    blocks = _wedge_blocks(table, k)
-    best = None
-    for weight, block in blocks.items():
-        if any(w < 0 for w in weight):
-            continue
-        if not _has_highest_weight_vector(table, blocks, weight, block):
-            continue
-        val = casimir_eigenvalue(rs, weight)
-        if best is None or val > best:
-            best = val
-    if best is None:
+    highest = [weight for weight, (_, block)
+               in _dominant_blocks(table, k, matrix_ceiling).items()
+               if _has_highest_weight_vector(table, block)]
+    if not highest:
         raise AssertionError("no highest weight found in a nonzero module")
-    return best
+    return max(casimir_eigenvalue(table.rs, weight) for weight in highest)
 
 
 def _theta_single(table: LieAlgebraTable, gen: int, subset):
@@ -521,30 +508,19 @@ def _theta_single(table: LieAlgebraTable, gen: int, subset):
     return out
 
 
-def _has_highest_weight_vector(table, blocks, weight, block) -> bool:
+def _has_highest_weight_vector(table: LieAlgebraTable, block) -> bool:
+    """Whether the simple raising operators have a joint kernel on a
+    weight block.  Each row holds one block vector's images under all of
+    them: the transpose of the stacked operator matrices, so it has the
+    same rank.  The images under different operators lie in different
+    weight blocks, so their subsets never share a column."""
     rs = table.rs
-    rows = []
-    pos = {s: i for i, s in enumerate(block)}
-    stacked_cols = len(block)
-    for i_simple in range(rs.rank):
-        gen = table.root_vector(simple_root_index(rs, i_simple))
-        target_weight = tuple(w + c for w, c in
-                              zip(weight, table.weights[gen]))
-        target = blocks.get(target_weight, [])
-        tpos = {s: i for i, s in enumerate(target)}
-        mat = [[0] * stacked_cols for _ in range(len(target))]
-        for s in block:
-            img = _theta_single(table, gen, s)
-            for key, v in img.items():
-                mat[tpos[key]][pos[s]] += v
-        rows.extend(mat)
-    return nullity(rows, stacked_cols) > 0
-
-
-def simple_root_index(rs: RootSystem, i: int) -> int:
-    """Index of the i-th simple root inside the positive-root list."""
-    coords = tuple(int(j == i) for j in range(rs.rank))
-    return rs.root_index(coords)
+    units = (tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank))
+    gens = [table.root_vector(rs.root_index(unit)) for unit in units]
+    rows = [{key: v for gen in gens
+             for key, v in _theta_single(table, gen, s).items()}
+            for s in block]
+    return nullity(rows, len(block)) > 0
 
 
 @lru_cache(maxsize=None)
@@ -578,33 +554,28 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
     only when its weight is dominant, and each dominant block's rank
     counts times its orbit size.
     """
-    _check_matrix_ceiling(table, k, matrix_ceiling)
     if k < 2:
         return 0
     images = _coboundary_images(table)
-    blocks = _dominant_blocks(table, k)
+    blocks = _dominant_blocks(table, k, matrix_ceiling)
+    pos = {s: i for _, block in blocks.values() for i, s in enumerate(block)}
     gen_blocks = {weight: [] for weight in blocks}
-    for w_subset in combinations(range(table.dim), k - 2):
-        w_weight = _weight_of_subset(table, w_subset)
+    for w_weight, w_block in _wedge_blocks(table, k - 2).items():
         for u in range(table.dim):
             weight = tuple(x + y for x, y in zip(w_weight, table.weights[u]))
             vecs = gen_blocks.get(weight)
             if vecs is None:
                 continue
-            vec = {}
-            for (a, b), c in images[u]:
-                if a in w_subset or b in w_subset:
-                    continue
-                sign, key = _wedge_normalize(w_subset + (a, b))
-                vec[key] = vec.get(key, 0) + sign * c
-            vec = {key: v for key, v in vec.items() if v != 0}
-            if vec:
+            for w_subset in w_block:
+                # Distinct pairs (a, b) give distinct wedges w ^ a ^ b.
+                vec = {}
+                for (a, b), c in images[u]:
+                    if a not in w_subset and b not in w_subset:
+                        sign, key = _wedge_normalize(w_subset + (a, b))
+                        vec[pos[key]] = sign * c
                 vecs.append(vec)
-    total = 0
-    for weight, (orbit, block) in blocks.items():
-        rows = [[vec.get(key, 0) for key in block] for vec in gen_blocks[weight]]
-        total += orbit * exact_rank(rows)
-    return total
+    return sum(orbit * exact_rank(gen_blocks[weight])
+               for weight, (orbit, _) in blocks.items())
 
 
 def verify_ideal_top_vectors(table: LieAlgebraTable, ideals) -> dict:

@@ -131,8 +131,9 @@ def test_scale_error_exit_code(capsys):
     assert "ceiling" in err
 
 
-# Each row: argv, ALCOVES_LIMITS file ("missing" for an absent one, or
-# None), and the words the error must contain: the argument and its limit.
+# Each row: argv, ALCOVES_LIMITS file ("missing" for an absent one, a dict
+# of fields to write to one, or None), and the words the error must
+# contain: the argument and its limit.
 SIZE_ERRORS = [
     pytest.param(["fk", "--kmax", "-2"], None, ["--kmax -2", "minimum 0"],
                  id="fk-negative-kmax"),
@@ -171,14 +172,26 @@ SIZE_ERRORS = [
     pytest.param(["verify", "--suite", "mcore", "--m", "10"], None,
                  ["--m 10", "rank 9", "max_rank ceiling 8"],
                  id="verify-mcore-m-rank-unbounded"),
+    pytest.param(["verify", "--suite", "seven-numbers", "--type", "A3"], None,
+                 ["dim 15", "chevalley_dim ceiling 14"],
+                 id="seven-numbers-over-chevalley-dim"),
+    # G2's dominant blocks hold 184 rows at wedge degree 4.
+    pytest.param(["verify", "--suite", "seven-numbers", "--type", "G2"],
+                 {"wedge_matrix": 100},
+                 ["degree 4", "184 dominant-block rows", "wedge_matrix ceiling 100"],
+                 id="seven-numbers-over-wedge-matrix"),
 ]
 
 
 @pytest.mark.parametrize("argv,limits_file,words", SIZE_ERRORS)
 def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
                                                argv, limits_file, words):
-    if limits_file is not None:
-        monkeypatch.setenv("ALCOVES_LIMITS", str(tmp_path / f"{limits_file}.json"))
+    if limits_file == "missing":
+        monkeypatch.setenv("ALCOVES_LIMITS", str(tmp_path / "missing.json"))
+    elif limits_file is not None:
+        path = tmp_path / "limits.json"
+        path.write_text(json.dumps(limits_file))
+        monkeypatch.setenv("ALCOVES_LIMITS", str(path))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,12 +1,14 @@
 """Root-system construction and the integer inner product."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
 from alcoves.rootsystem import (build_root_system, casimir_eigenvalue,
                                 heisenberg_count, parse_type, weyl_dimension)
+from alcoves.suites import _dominant_weights_with_cas_bound
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "C2", "B3", "C3",
              "D4", "D5", "G2", "F4", "E6"]
@@ -154,3 +156,19 @@ def test_coordinate_round_trip(label):
         back = rs.weight_to_root_coords(w)
         assert tuple(back) == tuple(phi)
         assert rs.in_root_lattice(w)
+
+
+@pytest.mark.parametrize("label,ceiling", [("A2", 12), ("B2", 10), ("G2", 8),
+                                           ("B3", 5), ("C3", 5)])
+def test_cas_bounded_dominant_weights_match_a_box_scan(label, ceiling):
+    rs = parse_type(label)
+    got = _dominant_weights_with_cas_bound(rs, ceiling)
+    assert len(set(got)) == len(got)
+    # The Casimir grows in every coordinate, so the box holds every
+    # weight under the ceiling once its far corners are over it.
+    edge = 2 * ceiling
+    for i in range(rs.rank):
+        corner = tuple(edge * (i == j) for j in range(rs.rank))
+        assert casimir_eigenvalue(rs, corner) > ceiling
+    assert set(got) == {w for w in product(range(edge), repeat=rs.rank)
+                        if casimir_eigenvalue(rs, w) <= ceiling}

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alcoves.alcove import chi_at_type_rho, enumerate_dominant
 from alcoves.rootsystem import build_root_system
@@ -81,6 +83,17 @@ def test_core_idempotent_and_order_independent():
         assert m_core(core, m) == core
         for _ in range(4):
             assert m_core(parts, m, choose=rng.choice) == core
+
+
+@given(st.lists(st.integers(1, 12), max_size=8), st.integers(2, 6), st.data())
+def test_core_order_independence_property(parts, m, data):
+    """Any sequence of legal bead moves ends at the same m-core, here with
+    Hypothesis picking every move, and the core has no move left."""
+    p = tuple(sorted(parts, reverse=True))
+    core = m_core(p, m)
+    assert m_core(core, m) == core
+    assert m_core(p, m, choose=lambda movable: data.draw(
+        st.sampled_from(movable))) == core
 
 
 def test_partitions_at_most():

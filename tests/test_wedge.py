@@ -12,9 +12,10 @@ from alcoves.ideals import dim_Ck, enumerate_abelian_ideals, max_abelian_dimensi
 from alcoves.linalg import exact_rank, invert_rational, nullity
 from alcoves.rootsystem import parse_type, weyl_orbit_size
 from alcoves.series import euler_power
-from alcoves.wedge import (_apply_casimir, _coboundary_images, _wedge_blocks,
-                           _wedge_normalize, _wedge_replace1, _wedge_replace2,
-                           _weight_of_subset, build_chevalley,
+from alcoves.wedge import (_apply_casimir, _coboundary_images,
+                           _has_highest_weight_vector, _theta_single,
+                           _wedge_blocks, _wedge_normalize, _wedge_replace1,
+                           _wedge_replace2, _weight_of_subset, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
 
@@ -109,6 +110,9 @@ def sparse_matrices(draw):
 def test_sparse_exact_rank_matches_rational_elimination(rows):
     rank = rational_rank(rows)
     assert exact_rank(rows) == rank
+    assert exact_rank([{j: x for j, x in enumerate(row) if x}
+                       for row in rows]) == rank
+    assert exact_rank([dict(enumerate(row)) for row in rows]) == rank
     assert dense_bareiss_rank(rows) == rank
     fractions = [[Fraction(x, i % 4 + 1) if j % 2 else x
                   for j, x in enumerate(row)] for i, row in enumerate(rows)]
@@ -146,7 +150,7 @@ def test_killing_rank_b2():
 
 
 def test_dim_ceiling_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chevalley_dim ceiling 14"):
         build_chevalley(parse_type("A3"))
     table = build_chevalley(parse_type("A3"), dim_ceiling=15)
     assert table.dim == 15
@@ -212,7 +216,7 @@ def test_direct_sum_decomposition(label):
             comb(rs.dim_g, k)
 
 
-@pytest.mark.parametrize("label", ["A1", "A2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
 def test_max_eigenvalue_full_sweep(label):
     rs = parse_type(label)
     table = build_chevalley(rs)
@@ -239,8 +243,13 @@ def test_ideal_wedges_are_top_eigenvectors(label):
 
 def test_matrix_ceiling_guard():
     table = build_chevalley(parse_type("G2"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wedge_matrix ceiling 100"):
         casimir_eigenspace_dim(table, 7, matrix_ceiling=100)
+    # The ceiling bounds the 184 rows of G2's dominant blocks in degree 4,
+    # not the 1001 of the whole degree.
+    assert casimir_eigenspace_dim(table, 4, matrix_ceiling=184) == 0
+    with pytest.raises(ValueError, match="184 dominant-block rows"):
+        dg_ideal_dim(table, 4, matrix_ceiling=183)
 
 
 @pytest.mark.parametrize("label", TABLE_TYPES)
@@ -309,6 +318,43 @@ def test_dominant_blocks_match_full_sweep(label):
         assert dg_ideal_dim(table, k) == full_dg_ideal_dim(table, k)
 
 
+def stacked_highest_weight_vector(table, blocks, weight, block):
+    """The earlier highest-weight test, kept as an oracle: one dense
+    matrix per simple raising operator, from the block into its target
+    block, stacked and ranked by dense Bareiss."""
+    rs = table.rs
+    pos = {s: i for i, s in enumerate(block)}
+    rows = []
+    for simple in range(rs.rank):
+        gen = table.root_vector(rs.root_index(
+            tuple(int(j == simple) for j in range(rs.rank))))
+        target_weight = tuple(w + c for w, c in zip(weight, table.weights[gen]))
+        target = blocks.get(target_weight, [])
+        tpos = {s: i for i, s in enumerate(target)}
+        mat = [[0] * len(block) for _ in target]
+        for s in block:
+            for key, v in _theta_single(table, gen, s).items():
+                mat[tpos[key]][pos[s]] += v
+        rows.extend(mat)
+    return dense_bareiss_rank(rows) < len(block)
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["A3"])
+def test_highest_weight_test_matches_stacked_oracle(label):
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    for k in range(rs.h_dual + 1):
+        blocks = _wedge_blocks(table, k)
+        found = {w for w, block in blocks.items() if all(x >= 0 for x in w)
+                 and _has_highest_weight_vector(table, block)}
+        assert found == {w for w, block in blocks.items()
+                         if all(x >= 0 for x in w) and
+                         stacked_highest_weight_vector(table, blocks, w, block)}
+        if k == 1:  # g is irreducible, of highest weight the highest root
+            psi = rs.positive_roots[rs.highest_root]
+            assert found == {tuple(rs.root_coords_to_weight(psi))}
+
+
 def orbit_by_reflections(rs, weight):
     """Weyl orbit of a weight by closure under the simple reflections
     s_i(mu) = mu - mu_i alpha_i, in fundamental coordinates (alpha_i is
@@ -357,6 +403,8 @@ def test_bad_orbit_count_is_an_internal_error(monkeypatch):
         casimir_eigenspace_dim(table, 2)
     with pytest.raises(AssertionError):
         dg_ideal_dim(table, 2)
+    with pytest.raises(AssertionError):
+        max_casimir_eigenvalue(table, 2)
 
 
 @pytest.mark.parametrize("label", ["G2", "A3"])
