@@ -16,7 +16,7 @@ ENV_VAR = "ALCOVES_LIMITS"
 
 @dataclass(frozen=True)
 class Limits:
-    subset_candidates: int = 2_000_000      # k-subset sweeps of positive roots
+    subset_candidates: int = 2_000_000      # k-subset sweeps (roots, wedge bases)
     partition_candidates: int = 2_000_000   # root-partition and core sweeps
     chevalley_dim: int = 14                 # largest algebra built as a table
     wedge_matrix: int = 3432                # dominant-block rows per wedge degree

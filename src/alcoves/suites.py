@@ -59,6 +59,11 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
     series = euler_power(rs.dim_g, rs.h_dual)
     doms = enumerate_dominant(rs, rs.h_dual)
     for k in range(rs.h_dual + 1):
+        if comb(rs.dim_g, k) > limits.subset_candidates:
+            raise ValueError(
+                f"wedge degree {k} sweeps {comb(rs.dim_g, k)} subsets, over "
+                f"the subset_candidates ceiling {limits.subset_candidates}; "
+                "raise it explicitly")
         legs = {
             "series": (-1) ** k * series[k],
             "ideal_sum": dim_Ck(rs, k),

@@ -25,7 +25,8 @@ the dominant blocks times their orbit sizes must add up to the whole
 wedge power; a mismatch is an internal error.  Wedge basis subsets are
 enumerated by `_wedge_blocks` alone, and every oracle takes its blocks
 from `_dominant_blocks`, which also refuses a degree whose dominant
-blocks hold more rows than `Limits.wedge_matrix`.  Ranks come from
+blocks hold more rows than `Limits.wedge_matrix`, stopping the sweep
+as soon as it has stored one row too many.  Ranks come from
 sparse fraction-free elimination (`linalg.exact_rank`) on rows given as
 {column: value} dicts.
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb, inf, lcm
 
 from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
@@ -405,33 +406,42 @@ def _weight_of_subset(table: LieAlgebraTable, subset):
     return tuple(out)
 
 
-def _wedge_blocks(table: LieAlgebraTable, k: int):
+def _wedge_blocks(table: LieAlgebraTable, k: int, keep=None, most=inf):
     """k-subsets of the basis grouped by total Cartan weight: the one
-    place where wedge basis subsets are enumerated."""
+    place where wedge basis subsets are enumerated.  With `keep`, only
+    the subsets whose weight it accepts are stored, and the sweep stops
+    as soon as more than `most` are stored, for the caller to refuse."""
     blocks = {}
+    stored = 0
     for subset in combinations(range(table.dim), k):
-        blocks.setdefault(_weight_of_subset(table, subset), []).append(subset)
+        weight = _weight_of_subset(table, subset)
+        if keep is None or keep(weight):
+            blocks.setdefault(weight, []).append(subset)
+            stored += 1
+            if stored > most:
+                break
     return blocks
 
 
 def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
     """The weight blocks of the k-th wedge power whose weight is dominant,
-    as {weight: (orbit size, block)}.  Weight multiplicities are
+    as {weight: (orbit size, block)}.  Their total size, the rows every
+    wedge oracle builds, must not exceed `matrix_ceiling`; the sweep
+    stores no more than that before refusing.  Weight multiplicities are
     W-invariant, so these blocks times their orbit sizes must fill the
-    whole wedge power; that count is checked here.  Their total size,
-    the rows every wedge oracle builds, must not exceed `matrix_ceiling`."""
-    rs = table.rs
-    out = {weight: (weyl_orbit_size(rs, weight), block)
-           for weight, block in _wedge_blocks(table, k).items()
-           if all(x >= 0 for x in weight)}
+    whole wedge power; that count is checked here."""
+    blocks = _wedge_blocks(table, k, lambda weight: min(weight) >= 0,
+                           matrix_ceiling)
+    if sum(len(block) for block in blocks.values()) > matrix_ceiling:
+        raise ValueError(f"wedge degree {k} has more dominant-block rows than "
+                         f"the wedge_matrix ceiling {matrix_ceiling}; "
+                         "raise it explicitly")
+    out = {weight: (weyl_orbit_size(table.rs, weight), block)
+           for weight, block in blocks.items()}
     if sum(orbit * len(block) for orbit, block in out.values()) != \
             comb(table.dim, k):
         raise AssertionError(
             f"dominant blocks times orbit sizes do not fill degree {k}")
-    rows = sum(len(block) for _, block in out.values())
-    if rows > matrix_ceiling:
-        raise ValueError(f"wedge degree {k} has {rows} dominant-block rows, "
-                         f"over the wedge_matrix ceiling {matrix_ceiling}")
     return out
 
 
@@ -560,7 +570,12 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
     blocks = _dominant_blocks(table, k, matrix_ceiling)
     pos = {s: i for _, block in blocks.values() for i, s in enumerate(block)}
     gen_blocks = {weight: [] for weight in blocks}
-    for w_weight, w_block in _wedge_blocks(table, k - 2).items():
+    # Only the (k-2)-wedges w that some d(u) lifts into a dominant block
+    # are stored.
+    w_weights = {tuple(x - y for x, y in zip(weight, table.weights[u]))
+                 for weight in blocks for u in range(table.dim)}
+    w_blocks = _wedge_blocks(table, k - 2, w_weights.__contains__)
+    for w_weight, w_block in w_blocks.items():
         for u in range(table.dim):
             weight = tuple(x + y for x, y in zip(w_weight, table.weights[u]))
             vecs = gen_blocks.get(weight)

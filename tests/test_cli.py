@@ -178,8 +178,13 @@ SIZE_ERRORS = [
     # G2's dominant blocks hold 184 rows at wedge degree 4.
     pytest.param(["verify", "--suite", "seven-numbers", "--type", "G2"],
                  {"wedge_matrix": 100},
-                 ["degree 4", "184 dominant-block rows", "wedge_matrix ceiling 100"],
+                 ["degree 4", "dominant-block rows", "wedge_matrix ceiling 100"],
                  id="seven-numbers-over-wedge-matrix"),
+    # B3's wedge degree 4 spans C(21, 4) = 5985 subsets.
+    pytest.param(["verify", "--suite", "seven-numbers", "--type", "B3"],
+                 {"chevalley_dim": 21, "subset_candidates": 5000},
+                 ["degree 4", "5985 subsets", "subset_candidates ceiling 5000"],
+                 id="seven-numbers-over-subset-candidates"),
 ]
 
 

@@ -248,8 +248,30 @@ def test_matrix_ceiling_guard():
     # The ceiling bounds the 184 rows of G2's dominant blocks in degree 4,
     # not the 1001 of the whole degree.
     assert casimir_eigenspace_dim(table, 4, matrix_ceiling=184) == 0
-    with pytest.raises(ValueError, match="184 dominant-block rows"):
+    with pytest.raises(ValueError, match="wedge_matrix ceiling 183"):
         dg_ideal_dim(table, 4, matrix_ceiling=183)
+
+
+def test_row_ceiling_stops_the_sweep(monkeypatch):
+    """F4 has 305999 dominant rows among the C(52, 6) = 20358520 subsets
+    of degree 6; the sweep stops once it has stored one row over the
+    ceiling, 150121 subsets in."""
+    table = build_chevalley(parse_type("F4"), dim_ceiling=52)
+    dominant = lambda w: min(w) >= 0
+    swept = []
+    monkeypatch.setattr("alcoves.wedge._weight_of_subset",
+                        lambda t, s: swept.append(s) or _weight_of_subset(t, s))
+    blocks = _wedge_blocks(table, 6, dominant, 3432)
+    assert sum(len(block) for block in blocks.values()) == 3433
+    assert len(swept) == 150121
+    with pytest.raises(ValueError, match="wedge_matrix ceiling 3432"):
+        casimir_eigenspace_dim(table, 6)
+    # With `keep` and room for every row, the sweep is the full one
+    # restricted to dominant weights.
+    table = build_chevalley(parse_type("G2"))
+    full = _wedge_blocks(table, 4)
+    assert _wedge_blocks(table, 4, dominant, 184) == \
+        {w: block for w, block in full.items() if dominant(w)}
 
 
 @pytest.mark.parametrize("label", TABLE_TYPES)
