@@ -1,29 +1,40 @@
 """Exact-arithmetic library for Euler-product powers and the combinatorics
-of dominant alcoves and abelian Borel ideals of simple Lie algebras."""
+of dominant alcoves and abelian Borel ideals of simple Lie algebras.
 
-from .alcove import (AffineElement, chi_at_type_rho, enumerate_dominant,
-                     ideal_chain, in_wf2, reduce_to_fundamental)
-from .ideals import (AbelianIdeal, dim_Ck, enumerate_abelian_ideals,
-                     ideal_to_sigma, sigma_to_ideal)
-from .rootsystem import (RootSystem, build_root_system, casimir_eigenvalue,
-                         heisenberg_count, parse_type, weyl_dimension)
-from .series import (IntSeries, RatPoly, bigraded_dims, bott_series,
-                     euler_power, f_poly, f_poly_direct, lehmer_probe, mu)
-from .typea import count_null_cores, m_core, partition_to_weight, weight_to_partition
-from .wedge import (LieAlgebraTable, build_chevalley, casimir_eigenspace_dim,
-                    dg_ideal_dim, max_casimir_eigenvalue)
+The names in `__all__` are loaded on first use (PEP 562), so importing the
+package, or one command of its CLI, compiles only the modules it runs.
+"""
 
-__all__ = [
-    "AbelianIdeal", "AffineElement", "IntSeries", "LieAlgebraTable",
-    "RatPoly", "RootSystem", "bigraded_dims", "bott_series",
-    "build_chevalley", "build_root_system", "casimir_eigenspace_dim",
-    "casimir_eigenvalue", "chi_at_type_rho", "count_null_cores", "dg_ideal_dim",
-    "dim_Ck", "enumerate_abelian_ideals", "enumerate_dominant", "euler_power",
-    "f_poly", "f_poly_direct", "heisenberg_count", "ideal_chain",
-    "ideal_to_sigma", "in_wf2", "lehmer_probe", "m_core",
-    "max_casimir_eigenvalue", "mu", "parse_type", "partition_to_weight",
-    "reduce_to_fundamental", "sigma_to_ideal", "weight_to_partition",
-    "weyl_dimension",
-]
+from importlib import import_module
+
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("AffineElement", "chi_at_type_rho", "enumerate_dominant",
+                     "ideal_chain", "in_wf2", "reduce_to_fundamental"), "alcove"),
+    **dict.fromkeys(("AbelianIdeal", "dim_Ck", "enumerate_abelian_ideals",
+                     "ideal_to_sigma", "sigma_to_ideal"), "ideals"),
+    **dict.fromkeys(("RootSystem", "build_root_system", "casimir_eigenvalue",
+                     "heisenberg_count", "parse_type", "weyl_dimension"),
+                    "rootsystem"),
+    **dict.fromkeys(("IntSeries", "RatPoly", "bigraded_dims", "bott_series",
+                     "euler_power", "f_poly", "f_poly_direct", "lehmer_probe",
+                     "mu"), "series"),
+    **dict.fromkeys(("count_null_cores", "m_core", "partition_to_weight",
+                     "weight_to_partition"), "typea"),
+    **dict.fromkeys(("LieAlgebraTable", "build_chevalley",
+                     "casimir_eigenspace_dim", "dg_ideal_dim",
+                     "max_casimir_eigenvalue"), "wedge"),
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .rootsystem import RootSystem
 
@@ -51,7 +52,26 @@ class AffineElement:
 
 
 def evaluate_root(coords, point):
-    return sum(c * point[i] for i, c in enumerate(coords) if c)
+    return sum(map(mul, coords, point))
+
+
+@lru_cache(maxsize=None)
+def _affine_reflection(rs: RootSystem, beta: tuple):
+    """The reflection in the affine wall beta = 1 of a positive root beta
+    (simple-root coordinates), y -> y - (beta(y) - 1) beta^vee, as the
+    (matrix, translation) pair (I - beta^vee (x) beta, beta^vee) acting on
+    evaluation vectors; beta^vee enters through alpha_j(beta^vee)."""
+    l = rs.rank
+    norm = rs.pair(beta, beta)
+    coroot = []
+    for j in range(l):
+        v, rem = divmod(2 * rs.pair(beta, [int(i == j) for i in range(l)]), norm)
+        if rem:
+            raise AssertionError("coroot is not in the coroot lattice")
+        coroot.append(v)
+    mat = tuple(tuple(int(j == k) - coroot[j] * beta[k] for k in range(l))
+                for j in range(l))
+    return mat, tuple(coroot)
 
 
 def _generators(rs: RootSystem):
@@ -63,22 +83,17 @@ def _generators(rs: RootSystem):
         mat = tuple(tuple((1 if j == k else 0) - (rs.cartan[i][j] if k == i else 0)
                           for k in range(l)) for j in range(l))
         gens.append((mat, (0,) * l))
-    psi = rs.positive_roots[rs.highest_root]
-    pv = rs.psi_coroot_values
-    mat = tuple(tuple((1 if j == k else 0) - pv[j] * psi[k] for k in range(l))
-                for j in range(l))
-    gens.append((mat, pv))
+    gens.append(_affine_reflection(rs, rs.positive_roots[rs.highest_root]))
     return tuple(gens)
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_vec(a, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _vec_add(u, v):
@@ -171,6 +186,17 @@ def _coroot_to_eval(rs: RootSystem, z) -> tuple:
     """Evaluation vector of a coroot-lattice element: alpha_j(z)."""
     return tuple(sum(z[i] * rs.cartan[i][j] for i in range(rs.rank))
                  for j in range(rs.rank))
+
+
+def reflect_in_wall(rs: RootSystem, e: AffineElement, idx: int) -> AffineElement:
+    """s e for the reflection s in the affine wall beta = 1 of the positive
+    root with index `idx`: the alcove of `e` mirrored in that wall, by one
+    left multiplication.  With s(y) = M y + beta^vee, the product maps y to
+    M w y + (M t + beta^vee)."""
+    mat, coroot = _affine_reflection(rs, rs.positive_roots[idx])
+    tvec = _vec_add(_mat_vec(mat, _coroot_to_eval(rs, e.z)), coroot)
+    x = _affine(rs, mat, coroot, e.x)
+    return _element_from_map(rs, _mat_mul(mat, e.w), tvec, x, _wall_counts(rs, x))
 
 
 def apply_element(rs: RootSystem, e: AffineElement, point) -> tuple:

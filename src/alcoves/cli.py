@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .alcove import chi_at_type_rho, enumerate_dominant, in_wf2
-from .ideals import enumerate_abelian_ideals, ideal_to_sigma
-from .limits import Limits, load_limits
-from .report import Report
-from .rootsystem import parse_label, parse_type, weyl_dimension
-from .series import (DIRECT_MAX_K, alcove_coefficient_series, euler_power,
-                     f_poly, lehmer_probe)
-from .suites import SUITES, run_suite
+# The package modules are imported inside the function that uses them, so
+# that a command compiles only what it runs.
+
+# The names of `suites.SUITES`, sorted, kept here so that building the
+# parser imports no suite.
+SUITE_NAMES = ("betti-ideals", "bijection", "bott", "euler-char", "gap",
+               "ideal-chains", "interpolation", "mcore", "parity", "peterson",
+               "root-partitions", "roots-f234", "seven-numbers", "sign",
+               "subset-bound")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=int, default=6)
 
     p = add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--type", dest="type_label", default=None)
     p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
@@ -84,6 +85,7 @@ def _ranges(args, limits: Limits) -> dict:
         # The alcove route enumerates alcoves up to length kmax.
         kmax = min(kmax, (limits.max_length, "max_length"))
     if getattr(args, "suite", None) == "roots-f234":
+        from .series import DIRECT_MAX_K
         kmax = min(kmax, (DIRECT_MAX_K, "composition-route"))
     return {
         "kmax": (0, *kmax),
@@ -109,6 +111,7 @@ def check_sizes(args, limits: Limits) -> None:
                 f"{flag} {value} exceeds the {ceiling} ceiling {high}")
     ranks = []
     if getattr(args, "type_label", None):
+        from .rootsystem import parse_label
         ranks.append((f"--type {args.type_label}", parse_label(args.type_label)[1]))
     if getattr(args, "m", None) is not None:
         # The m-core suite builds A_{m-1}.
@@ -120,6 +123,10 @@ def check_sizes(args, limits: Limits) -> None:
 
 
 def cmd_coeffs(args, limits: Limits) -> Report:
+    from .report import Report
+    from .rootsystem import parse_type
+    from .series import alcove_coefficient_series, euler_power
+
     rs = parse_type(args.type_label)
     kmax = args.kmax
     rep = Report(suite="coeffs", type_label=rs.label,
@@ -146,6 +153,10 @@ def cmd_coeffs(args, limits: Limits) -> Report:
 
 
 def cmd_alcoves(args, limits: Limits) -> Report:
+    from .alcove import enumerate_dominant, in_wf2
+    from .report import Report
+    from .rootsystem import parse_type, weyl_dimension
+
     rs = parse_type(args.type_label)
     rep = Report(suite="alcoves", type_label=rs.label,
                  params={"max_length": args.max_length,
@@ -161,6 +172,11 @@ def cmd_alcoves(args, limits: Limits) -> Report:
 
 
 def cmd_ideals(args, limits: Limits) -> Report:
+    from .alcove import chi_at_type_rho
+    from .ideals import enumerate_abelian_ideals, ideal_to_sigma
+    from .report import Report
+    from .rootsystem import parse_type
+
     rs = parse_type(args.type_label)
     rep = Report(suite="ideals", type_label=rs.label)
     ideals = enumerate_abelian_ideals(rs)
@@ -177,6 +193,9 @@ def cmd_ideals(args, limits: Limits) -> Report:
 
 
 def cmd_fk(args, limits: Limits) -> Report:
+    from .report import Report
+    from .series import f_poly, lehmer_probe
+
     kmax = args.kmax
     rep = Report(suite="fk", params={"kmax": kmax,
                                      "eval": args.eval_at if args.eval_at is not None else "",
@@ -198,11 +217,15 @@ def cmd_fk(args, limits: Limits) -> Report:
 
 
 def cmd_mcore(args, limits: Limits) -> Report:
+    from .suites import run_suite
+
     return run_suite("mcore", None, limits, m=args.m, kmax=args.kmax,
                      max_length=args.max_length)
 
 
 def cmd_verify(args, limits: Limits) -> Report:
+    from .suites import run_suite
+
     return run_suite(args.suite, args.type_label, limits,
                      max_length=args.max_length, kmax=args.kmax,
                      cas_ceiling=args.cas_ceiling, m=args.m)
@@ -225,6 +248,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        from .limits import load_limits
         limits = load_limits()
         if args.allow_big:
             limits = limits.embiggen()

@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .alcove import AffineElement, enumerate_dominant, in_wf2
+from .alcove import AffineElement, enumerate_dominant, in_wf2, reflect_in_wall
 from .rootsystem import RootSystem, weyl_dimension
 
 
@@ -131,7 +131,9 @@ def max_abelian_dimension(rs: RootSystem) -> int:
 
 @lru_cache(maxsize=None)
 def _wf2_by_nvec(rs: RootSystem):
-    """Indicator-vector lookup table for the alcoves inside 2*A1.
+    """Indicator-vector lookup table for the alcoves inside 2*A1, by the
+    alcove BFS: the independent route that `ideal_to_sigma` is checked
+    against.
 
     Wall counts in {0, 1} force the length to equal the number of ones,
     so enumerating up to the maximal abelian-ideal size is exhaustive for
@@ -141,12 +143,39 @@ def _wf2_by_nvec(rs: RootSystem):
     return {e.n_vec: e for e in enumerate_dominant(rs, bound) if in_wf2(rs, e)}
 
 
+@lru_cache(maxsize=None)
+def _alcove_by_ideal(rs: RootSystem) -> dict:
+    """Root set -> alcove for every abelian ideal, in ideal-size order.
+
+    The alcove of I lies in 2*A1 and is separated from the fundamental
+    alcove by the walls phi = 1 for phi in I and no other (Peterson's
+    bijection; Cellini-Papi 2000).  For a lowest root beta of I, the set
+    I - {beta} is again an abelian ideal, so one wall, beta = 1, separates
+    the two alcoves; they are adjacent across it, and alcove(I) =
+    s_{beta,1} alcove(I - {beta}).  That is one affine reflection per
+    ideal, from the fundamental alcove, with each result's wall counts
+    checked against the indicator of I.
+    """
+    table = {}
+    for xi in enumerate_abelian_ideals(rs):
+        if xi.roots:
+            # Positive roots are indexed by increasing height.
+            beta = min(xi.roots)
+            e = reflect_in_wall(rs, table[xi.roots - {beta}], beta)
+        else:
+            e = enumerate_dominant(rs, 0)[0]
+        if e.n_vec != tuple(int(i in xi.roots) for i in range(rs.num_positive)):
+            raise AssertionError(
+                f"reflected alcove has wall counts {e.n_vec}, not the "
+                f"indicator of the ideal with weight {xi.lam}")
+        table[xi.roots] = e
+    return table
+
+
 def ideal_to_sigma(rs: RootSystem, xi: AbelianIdeal) -> AffineElement:
     """The unique dominant alcove whose wall counts are the indicator of
     the ideal's root set."""
-    indicator = tuple(int(i in xi.roots) for i in range(rs.num_positive))
-    table = _wf2_by_nvec(rs)
-    e = table.get(indicator)
+    e = _alcove_by_ideal(rs).get(xi.roots)
     if e is None:
         raise LookupError(f"no alcove matches the ideal with weight {xi.lam}")
     return e

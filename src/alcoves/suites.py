@@ -2,7 +2,9 @@
 
 Each suite cross-checks one identity through at least two independently
 implemented routes and returns a deterministic Report.  Claims carry the
-values they compared as decimal-string witnesses.
+values they compared as decimal-string witnesses.  The series, wedge and
+type-A modules are imported inside the suites that use them, so a suite
+compiles only what it runs.
 """
 
 from __future__ import annotations
@@ -10,21 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from . import typea
 from .alcove import (chi_at_type_rho, counts_by_length, enumerate_dominant,
                      finite_part_length, ideal_chain, in_wf2,
                      two_rho_pairing_killing)
-from .ideals import (_root_sum_weight, dim_Ck, enumerate_abelian_ideals,
-                     ideal_to_sigma, is_abelian, is_ideal,
-                     max_abelian_dimension, sigma_to_ideal,
+from .ideals import (_root_sum_weight, _wf2_by_nvec, dim_Ck,
+                     enumerate_abelian_ideals, ideal_to_sigma, is_abelian,
+                     is_ideal, max_abelian_dimension, sigma_to_ideal,
                      verify_root_partition_bound, verify_subset_bound)
 from .limits import Limits
 from .report import Report
 from .rootsystem import RootSystem, parse_type, weyl_dimension
-from .series import (RatPoly, bigraded_dims, bott_series, euler_power,
-                     f_poly, f_poly_direct)
-from .wedge import (build_chevalley, casimir_eigenspace_dim, dg_ideal_dim,
-                    verify_ideal_top_vectors)
 
 # Maximal abelian-subalgebra dimension for the three types where it stays
 # below the dual Coxeter number.
@@ -54,6 +51,10 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
     dual Coxeter number: the signed series coefficient, the abelian-ideal
     dimension sum, the Casimir eigenspace dimension, the coboundary-ideal
     complement, and the bigraded alcove sum."""
+    from .series import euler_power
+    from .wedge import (build_chevalley, casimir_eigenspace_dim,
+                        dg_ideal_dim, verify_ideal_top_vectors)
+
     rep = Report(suite="seven-numbers", type_label=rs.label)
     table = build_chevalley(rs, dim_ceiling=limits.chevalley_dim)
     series = euler_power(rs.dim_g, rs.h_dual)
@@ -80,6 +81,8 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
 
 
 def suite_bott(rs: RootSystem, limits: Limits, max_length: int = 12, **_) -> Report:
+    from .series import bott_series
+
     rep = Report(suite="bott", type_label=rs.label,
                  params={"max_length": max_length})
     counts = counts_by_length(rs, max_length)
@@ -91,6 +94,8 @@ def suite_bott(rs: RootSystem, limits: Limits, max_length: int = 12, **_) -> Rep
 
 
 def suite_betti_ideals(rs: RootSystem, limits: Limits, **_) -> Report:
+    from .series import bott_series
+
     rep = Report(suite="betti-ideals", type_label=rs.label)
     series = bott_series(rs, rs.h_dual)
     ideals = enumerate_abelian_ideals(rs)
@@ -217,6 +222,8 @@ def suite_euler_char(rs: RootSystem, limits: Limits,
                      kmax: int = 12, **_) -> Report:
     """Alternating wedge-degree sums of the bigraded dimensions equal the
     Euler-product coefficients; the top corner dominates through h_dual."""
+    from .series import bigraded_dims, euler_power
+
     rep = Report(suite="euler-char", type_label=rs.label,
                  params={"kmax": kmax})
     table = bigraded_dims(rs.dim_g, kmax, kmax)
@@ -234,19 +241,19 @@ def suite_euler_char(rs: RootSystem, limits: Limits,
     return rep
 
 
-_F2 = RatPoly([0, Fraction(-3, 2), Fraction(1, 2)])
-_F3 = RatPoly([0, Fraction(-8, 6), Fraction(9, 6), Fraction(-1, 6)])
-_F4 = RatPoly([0, Fraction(-42, 24), Fraction(59, 24),
-               Fraction(-18, 24), Fraction(1, 24)])
-
-
 def suite_roots_f234(limits: Limits, kmax: int = 12, **_) -> Report:
     """Closed forms of the first coefficient polynomials, their integer
     roots, and agreement of the two construction routes."""
+    from .series import RatPoly, f_poly, f_poly_direct
+
+    f2 = RatPoly([0, Fraction(-3, 2), Fraction(1, 2)])
+    f3 = RatPoly([0, Fraction(-8, 6), Fraction(9, 6), Fraction(-1, 6)])
+    f4 = RatPoly([0, Fraction(-42, 24), Fraction(59, 24),
+                  Fraction(-18, 24), Fraction(1, 24)])
     rep = Report(suite="roots-f234", params={"kmax": kmax})
     rep.add("f1-is-minus-s", f_poly(1) == RatPoly([0, -1]),
             {"coeffs": [str(c) for c in f_poly(1).coeffs]})
-    for k, target, roots in ((2, _F2, (3,)), (3, _F3, (1, 8)), (4, _F4, (1, 3, 14))):
+    for k, target, roots in ((2, f2, (3,)), (3, f3, (1, 8)), (4, f4, (1, 3, 14))):
         poly = f_poly(k)
         rep.add(f"f{k}-closed-form", poly == target,
                 {"coeffs": [str(c) for c in poly.coeffs]})
@@ -261,6 +268,8 @@ def suite_roots_f234(limits: Limits, kmax: int = 12, **_) -> Report:
 def suite_interpolation(limits: Limits, **_) -> Report:
     """Each f_k is pinned down by k special-linear dimension sums at the
     points m^2 - 1, together with the root at zero."""
+    from .series import f_poly
+
     rep = Report(suite="interpolation")
     for k in (2, 3, 4):
         points = [(Fraction(0), Fraction(0))]
@@ -281,6 +290,8 @@ def suite_interpolation(limits: Limits, **_) -> Report:
 
 
 def _lagrange(points) -> RatPoly:
+    from .series import RatPoly
+
     acc = [Fraction(0)] * len(points)
     for i, (xi, yi) in enumerate(points):
         term = [yi]
@@ -295,6 +306,8 @@ def _lagrange(points) -> RatPoly:
 
 def suite_mcore(limits: Limits, m: int = 3, kmax: int = 3,
                 max_length: int = 6, **_) -> Report:
+    from . import typea
+
     rep = Report(suite="mcore", params={"m": m, "kmax": kmax,
                                         "max_length": max_length})
     for k in range(kmax + 1):
@@ -369,17 +382,24 @@ def suite_sign(rs: RootSystem, limits: Limits, max_length: int = 8,
 
 def suite_bijection(rs: RootSystem, limits: Limits, **_) -> Report:
     """Round trip between abelian ideals and alcoves in twice the
-    fundamental alcove, with lengths matching ideal sizes."""
+    fundamental alcove, with lengths matching ideal sizes; the alcoves
+    built by affine reflections equal those the alcove BFS finds."""
     rep = Report(suite="bijection", type_label=rs.label)
     ideals = enumerate_abelian_ideals(rs)
-    bad = 0
+    by_nvec = _wf2_by_nvec(rs)
+    bad = mismatched = 0
     for xi in ideals:
         e = ideal_to_sigma(rs, xi)
         if sigma_to_ideal(rs, e) != xi or e.length != xi.k or \
                 e.cas != xi.k or e.lam != xi.lam:
             bad += 1
+        if by_nvec.get(e.n_vec) != e:
+            mismatched += 1
     rep.add("ideal-alcove-round-trip", bad == 0,
             {"ideals": len(ideals), "failures": bad})
+    rep.add("reflection-route-matches-bfs",
+            mismatched == 0 and len(by_nvec) == len(ideals),
+            {"bfs_alcoves": len(by_nvec), "failures": mismatched})
     return rep
 
 

@@ -1,12 +1,16 @@
 """Command-line driver: output determinism, exit codes, wire format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from alcoves.cli import main
+from alcoves.cli import SUITE_NAMES, main
 from alcoves.limits import Limits, load_limits
 from alcoves.suites import SUITES, run_suite
 
@@ -119,6 +123,10 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert code == 2
 
 
+def test_suite_choices_are_the_suite_table():
+    assert SUITE_NAMES == tuple(sorted(SUITES))
+
+
 def test_verify_missing_type_is_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "peterson")
     assert code == 2
@@ -205,12 +213,13 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
 
 
 # Each row: the module attribute replaced by a function that fails an
-# internal invariant check, and the command that reaches it.
+# internal invariant check, and the command that reaches it.  Commands
+# import what they use when they run, so the defining module is patched.
 INTERNAL_ERRORS = [
-    pytest.param("alcoves.cli.euler_power",
+    pytest.param("alcoves.series.euler_power",
                  ["coeffs", "--type", "A2", "--kmax", "3", "--method", "series"],
                  id="series-divisibility"),
-    pytest.param("alcoves.suites.build_chevalley",
+    pytest.param("alcoves.wedge.build_chevalley",
                  ["verify", "--suite", "seven-numbers", "--type", "A1"],
                  id="chevalley-jacobi"),
 ]
@@ -311,3 +320,78 @@ def test_allow_big_escape_hatch(capsys):
     code, _, _ = run_cli(capsys, "coeffs", "--type", "A2", "--kmax", "70",
                          "--allow-big", "--method", "series")
     assert code == 0
+
+
+def loaded_modules(code: str) -> set:
+    """The alcoves modules loaded after running `code` in a fresh
+    interpreter."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules " \
+        "if m == 'alcoves' or m.startswith('alcoves.'))))"
+    import alcoves
+    src = str(Path(alcoves.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=env)
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_library_module():
+    assert loaded_modules("import alcoves.cli") == {"alcoves", "alcoves.cli"}
+
+
+def test_ideals_command_loads_only_what_it_runs():
+    loaded = loaded_modules(
+        "import contextlib, io\nfrom alcoves.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['ideals', '--type', 'E6']) == 0")
+    assert "alcoves.ideals" in loaded
+    assert not loaded & {"alcoves.wedge", "alcoves.series", "alcoves.suites",
+                         "alcoves.typea"}
+
+
+def test_star_import_binds_every_export():
+    names = {}
+    exec("from alcoves import *", names)
+    import alcoves
+    assert set(alcoves.__all__) <= set(names)
+    for name in alcoves.__all__:
+        assert names[name] is getattr(alcoves, name)
+        assert vars(alcoves)[name] is names[name]     # cached on first use
+        assert getattr(sys.modules[names[name].__module__], name) is names[name]
+    with pytest.raises(AttributeError):
+        alcoves.no_such_name  # noqa: B018
+
+
+def test_ideals_e8_runs_no_alcove_search(capsys, monkeypatch):
+    import alcoves.alcove
+    import alcoves.ideals
+    real = alcoves.alcove.enumerate_dominant
+
+    def guarded(rs, max_length):
+        if max_length > 0:
+            raise AssertionError(f"alcove search to length {max_length}")
+        return real(rs, max_length)
+
+    monkeypatch.setattr(alcoves.alcove, "enumerate_dominant", guarded)
+    monkeypatch.setattr(alcoves.ideals, "enumerate_dominant", guarded)
+    alcoves.ideals._alcove_by_ideal.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "ideals", "--type", "E8")
+    finally:
+        alcoves.ideals._alcove_by_ideal.cache_clear()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] == "pass"
+
+
+def test_reflection_wall_count_mismatch_exits_three(capsys, monkeypatch):
+    import alcoves.ideals
+    # Skipping the reflection leaves the parent ideal's wall counts.
+    monkeypatch.setattr(alcoves.ideals, "reflect_in_wall", lambda rs, e, idx: e)
+    alcoves.ideals._alcove_by_ideal.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "ideals", "--type", "B2")
+    finally:
+        alcoves.ideals._alcove_by_ideal.cache_clear()
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: reflected alcove has wall counts")

@@ -111,6 +111,19 @@ def test_bijection_round_trip(label):
     assert len(seen) == len(ideals)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C3", "C4", "D4", "G2", "F4", "E6", "E7",
+                                   "E8"])
+def test_reflection_table_matches_alcove_search(label):
+    rs = parse_type(label)
+    by_nvec = ideals._wf2_by_nvec(rs)
+    all_ideals = enumerate_abelian_ideals(rs)
+    assert len(by_nvec) == len(all_ideals)
+    for xi in all_ideals:
+        indicator = tuple(int(i in xi.roots) for i in range(rs.num_positive))
+        assert ideal_to_sigma(rs, xi) == by_nvec[indicator]
+
+
 @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4"])
 def test_wf2_maps_onto_ideals(label):
     rs = parse_type(label)
