@@ -30,6 +30,7 @@ from itertools import combinations
 from math import comb
 
 from .alcove import AffineElement, enumerate_dominant, in_wf2, reflect_in_wall
+from .limits import Limits
 from .rootsystem import RootSystem, weyl_dimension
 
 
@@ -215,7 +216,8 @@ def _pairing_tables(rs: RootSystem):
     return P, R, 2 * rs.scale
 
 
-def verify_subset_bound(rs: RootSystem, k: int, max_candidates: int = 2_000_000) -> dict:
+def verify_subset_bound(rs: RootSystem, k: int,
+                        max_candidates: int = Limits.subset_candidates) -> dict:
     """All k-subsets of positive roots: the shifted norm excess never
     exceeds k, with equality exactly on the abelian-ideal root sets.
 
@@ -229,7 +231,8 @@ def verify_subset_bound(rs: RootSystem, k: int, max_candidates: int = 2_000_000)
     m = rs.num_positive
     total = comb(m, k)
     if total > max_candidates:
-        raise ValueError(f"{total} subsets exceed the ceiling {max_candidates}")
+        raise ValueError(f"{total} subsets exceed the subset_candidates "
+                         f"ceiling {max_candidates}; raise it explicitly")
     P, R, unit = _pairing_tables(rs)
     bound = k * unit
     pair_max = max([0] + [P[a][b] for a in range(m) for b in range(a + 1, m)])
@@ -292,8 +295,9 @@ def _count_partitions(m: int, budget: int) -> int:
     return sum(ways)
 
 
-def verify_root_partition_bound(rs: RootSystem, cas_ceiling: int,
-                                max_candidates: int = 2_000_000) -> dict:
+def verify_root_partition_bound(
+        rs: RootSystem, cas_ceiling: int,
+        max_candidates: int = Limits.partition_candidates) -> dict:
     """Positive-root partitions q with triangular cost <= ceiling: the cost
     dominates the shifted norm excess of the assembled vector, with
     equality exactly on the wall-count vectors of dominant alcoves.
@@ -310,7 +314,8 @@ def verify_root_partition_bound(rs: RootSystem, cas_ceiling: int,
     m = rs.num_positive
     count = _count_partitions(m, cas_ceiling)
     if count > max_candidates:
-        raise ValueError(f"{count} partitions exceed the ceiling {max_candidates}")
+        raise ValueError(f"{count} partitions exceed the partition_candidates "
+                         f"ceiling {max_candidates}; raise it explicitly")
     q = [0] * m
     violations = []
     equality = set()

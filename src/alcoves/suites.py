@@ -118,7 +118,7 @@ def suite_subset_bound(rs: RootSystem, limits: Limits,
         if comb(rs.num_positive, k) > limits.subset_candidates:
             rep.skip(f"subset-bound-k{k}",
                      detail=f"{comb(rs.num_positive, k)} subsets exceed the "
-                            f"ceiling {limits.subset_candidates}")
+                            f"subset_candidates ceiling {limits.subset_candidates}")
             continue
         res = verify_subset_bound(rs, k, limits.subset_candidates)
         rep.add(f"subset-bound-k{k}", res["ok"],

@@ -10,9 +10,11 @@ which the test suite exercises with randomized orders.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 from .alcove import chi_at_type_rho, enumerate_dominant
+from .limits import Limits
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -98,18 +100,19 @@ def partitions_at_most(n: int, max_parts: int):
     yield from rec(n, n, max_parts)
 
 
-def count_null_cores(m: int, k: int, max_candidates: int = 2_000_000) -> int:
+def count_null_cores(m: int, k: int,
+                     max_candidates: int = Limits.partition_candidates) -> int:
     """Number of partitions of m*k with fewer than m parts and empty
     m-core, by direct enumeration and filtering."""
     if k == 0:
         return 1
     n = m * k
     count = 0
-    seen = 0
-    for p in partitions_at_most(n, m - 1):
-        seen += 1
+    for seen, p in enumerate(partitions_at_most(n, m - 1), 1):
         if seen > max_candidates:
-            raise ValueError(f"partition enumeration exceeded {max_candidates}")
+            raise ValueError("partition enumeration exceeded the "
+                             f"partition_candidates ceiling {max_candidates}; "
+                             "raise it explicitly")
         if has_null_core(p, m):
             count += 1
     return count
@@ -141,13 +144,10 @@ def verify_null_core_bijection(m: int, max_length: int) -> dict:
             failures.append((e.n_vec, p, checks))
         images.append(p)
     distinct = len(set(images)) == len(images)
-    sizes = sorted({sum(p) for p in images})
-    coverage = {}
-    for s in sizes:
-        hit = sum(1 for p in set(images) if sum(p) == s)
-        total = sum(1 for p in partitions_at_most(s, m - 1)
-                    if has_null_core(p, m)) if s > 0 else 1
-        coverage[s] = (hit, total)
+    hits = Counter(sum(p) for p in set(images))
+    # A partition with empty m-core has size divisible by m.
+    coverage = {s: (hit, count_null_cores(m, s // m) if s % m == 0 else 0)
+                for s, hit in sorted(hits.items())}
     return {
         "count": len(images),
         "distinct": distinct,

@@ -13,22 +13,21 @@ convention.
 On top of the table sit exact computations on wedge powers: the Casimir
 action (through the split invariant tensor, one pair of slots at a time),
 eigenspace dimensions as nullities, and the ideal generated by the image
-of the degree-one coboundary.  The Killing-dual basis is scaled by the
-common denominator D of the inverse Killing form, so the Casimir tables
-hold D times their values and every entry is a plain integer.
-Everything is graded by Cartan weight, so ranks and nullities are
-computed block by block.  Both the eigenspace and the coboundary ideal
-are g-submodules, so their weight multiplicities are invariant under the
-Weyl group W: only the blocks of dominant weight are built, and each
-counts times the size |W| / |W_J| of its weight's orbit.  The sizes of
-the dominant blocks times their orbit sizes must add up to the whole
-wedge power; a mismatch is an internal error.  Wedge basis subsets are
-enumerated by `_wedge_blocks` alone, and every oracle takes its blocks
-from `_dominant_blocks`, which also refuses a degree whose dominant
-blocks hold more rows than `Limits.wedge_matrix`, stopping the sweep
-as soon as it has stored one row too many.  Ranks come from
-sparse fraction-free elimination (`linalg.exact_rank`) on rows given as
-{column: value} dicts.
+of the degree-one coboundary.  Everything is graded by Cartan weight.
+The Killing form pairs only opposite weights, so it is traced on each
+root vector with its negative and on the coroot block, and only that
+rank-by-rank block is inverted.  The dual basis is scaled by the common
+denominator D of its coefficients, so the Casimir tables hold D times
+their values in plain integers.  Both the eigenspace and the coboundary
+ideal are g-submodules, so their weight multiplicities are invariant
+under the Weyl group W: only the blocks of dominant weight are built,
+and each counts times the size |W| / |W_J| of its weight's orbit; those
+must add up to the whole wedge power.  `_dominant_blocks` is the one
+enumerator of wedge basis subsets and the block source of every oracle;
+it refuses a degree at the first dominant row over `Limits.wedge_matrix`.
+Coboundary generators w wedge d(u) come from the same blocks: w is a
+block subset with two slots removed.  Ranks come from sparse
+fraction-free elimination (`linalg.exact_rank`) on {column: value} rows.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, inf, lcm
+from math import comb, lcm
 
 from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
@@ -55,9 +54,8 @@ class LieAlgebraTable:
     dim: int
     brackets: tuple          # brackets[a][b] = ((idx, coeff), ...)
     weights: tuple           # Cartan weight of each basis vector (fund coords)
-    killing: tuple
-    killing_inv: tuple
-    killing_den: int         # common denominator D of killing_inv
+    dual: tuple              # D times the Killing dual of x_j: ((idx, coeff), ...)
+    killing_den: int         # D, the common denominator of the dual basis
 
     def bracket(self, a: int, b: int):
         return self.brackets[a][b]
@@ -164,10 +162,10 @@ def _coroot_coords(rs: RootSystem, root_coords):
     return out
 
 
-@lru_cache(maxsize=None)
 def build_chevalley(rs: RootSystem,
                     dim_ceiling: int = Limits.chevalley_dim) -> LieAlgebraTable:
-    """Structure constants, Killing form and its inverse, all verified.
+    """Structure constants and the Killing-dual basis, all verified; the
+    table is built once per root system, whatever the ceiling.
 
     Build-time checks: antisymmetry and the Jacobi identity over all basis
     triples, nondegeneracy of the Killing form, and the Casimir acting as
@@ -177,6 +175,11 @@ def build_chevalley(rs: RootSystem,
         raise ValueError(
             f"dim {rs.dim_g} exceeds the chevalley_dim ceiling {dim_ceiling}; "
             "raise it explicitly")
+    return _chevalley_table(rs)
+
+
+@lru_cache(maxsize=None)
+def _chevalley_table(rs: RootSystem) -> LieAlgebraTable:
     m = rs.num_positive
     l = rs.rank
     dim = rs.dim_g
@@ -227,35 +230,40 @@ def build_chevalley(rs: RootSystem,
     weights = tuple(
         tuple(rs.root_coords_to_weight(root_of(a))) if a < 2 * m else (0,) * l
         for a in range(dim))
-
+    dual, den = _killing_dual(brackets, m, l)
     table = LieAlgebraTable(
         rs=rs, dim=dim,
         brackets=tuple(tuple(row) for row in brackets),
-        weights=weights, killing=(), killing_inv=(), killing_den=1)
-
-    # ad matrices as dense columns for the Killing form.
-    ad = []
-    for a in range(dim):
-        mat = [[0] * dim for _ in range(dim)]
-        for b in range(dim):
-            for i, c in brackets[a][b]:
-                mat[i][b] += c
-        ad.append(mat)
-    killing = tuple(
-        tuple(sum(ad[a][i][j] * ad[b][j][i] for i in range(dim)
-                  for j in range(dim)) for b in range(dim))
-        for a in range(dim))
-    if exact_rank(killing) != dim:
-        raise AssertionError("Killing form is degenerate")
-    killing_inv = invert_rational(killing)
-    object.__setattr__(table, "killing", killing)
-    object.__setattr__(table, "killing_inv", killing_inv)
-    object.__setattr__(table, "killing_den",
-                       lcm(*(x.denominator for row in killing_inv for x in row)))
-
+        weights=weights, dual=dual, killing_den=den)
     _verify_jacobi(table)
     _verify_casimir_identity(table)
     return table
+
+
+def _killing_dual(brackets, m: int, l: int):
+    """D times the Killing-dual basis as sparse integer rows, and D.  The
+    dual of e_alpha is e_-alpha / K(e_alpha, e_-alpha) and the other way
+    round; the coroot duals come from the inverse of the coroot block."""
+    dim = len(brackets)
+
+    def trace(a, b):  # K(x_a, x_b) = tr(ad x_a ad x_b)
+        return sum(v * w for c in range(dim) for i, v in brackets[b][c]
+                   for j, w in brackets[a][i] if j == c)
+
+    pairs = [trace(a, a + m) for a in range(m)]
+    if 0 in pairs:
+        raise AssertionError("Killing form is degenerate")
+    h = 2 * m
+    try:
+        block = invert_rational([[trace(h + i, h + j) for j in range(l)]
+                                 for i in range(l)])
+    except ValueError:
+        raise AssertionError("Killing form is degenerate") from None
+    den = lcm(*pairs, *(x.denominator for row in block for x in row))
+    return tuple([((a + m, den // p),) for a, p in enumerate(pairs)] +
+                 [((a, den // p),) for a, p in enumerate(pairs)] +
+                 [tuple((h + j, int(x * den)) for j, x in enumerate(row) if x)
+                  for row in block]), den
 
 
 def _bracket_expand(table: LieAlgebraTable, terms_a, terms_b):
@@ -290,21 +298,16 @@ def _verify_jacobi(table: LieAlgebraTable) -> None:
 def _dual_ad_rows(table: LieAlgebraTable):
     """Sparse ad-action of D times the Killing-dual basis, in integers:
     rows[j][b] = [(i, c)]."""
-    dim = table.dim
-    den = table.killing_den
     rows = []
-    for j in range(dim):
-        col = [dict() for _ in range(dim)]
-        for k in range(dim):
-            x = table.killing_inv[j][k]
-            if x == 0:
-                continue
-            coeff = x.numerator * (den // x.denominator)
-            for b in range(dim):
+    for terms in table.dual:
+        col = []
+        for b in range(table.dim):
+            acc = {}
+            for k, coeff in terms:
                 for i, c in table.brackets[k][b]:
-                    col[b][i] = col[b].get(i, 0) + coeff * c
-        rows.append(tuple(tuple((i, c) for i, c in d.items() if c != 0)
-                          for d in col))
+                    acc[i] = acc.get(i, 0) + coeff * c
+            col.append(tuple((i, c) for i, c in acc.items() if c != 0))
+        rows.append(tuple(col))
     return tuple(rows)
 
 
@@ -406,36 +409,26 @@ def _weight_of_subset(table: LieAlgebraTable, subset):
     return tuple(out)
 
 
-def _wedge_blocks(table: LieAlgebraTable, k: int, keep=None, most=inf):
-    """k-subsets of the basis grouped by total Cartan weight: the one
-    place where wedge basis subsets are enumerated.  With `keep`, only
-    the subsets whose weight it accepts are stored, and the sweep stops
-    as soon as more than `most` are stored, for the caller to refuse."""
-    blocks = {}
-    stored = 0
-    for subset in combinations(range(table.dim), k):
-        weight = _weight_of_subset(table, subset)
-        if keep is None or keep(weight):
-            blocks.setdefault(weight, []).append(subset)
-            stored += 1
-            if stored > most:
-                break
-    return blocks
-
-
 def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
     """The weight blocks of the k-th wedge power whose weight is dominant,
-    as {weight: (orbit size, block)}.  Their total size, the rows every
-    wedge oracle builds, must not exceed `matrix_ceiling`; the sweep
-    stores no more than that before refusing.  Weight multiplicities are
-    W-invariant, so these blocks times their orbit sizes must fill the
-    whole wedge power; that count is checked here."""
-    blocks = _wedge_blocks(table, k, lambda weight: min(weight) >= 0,
-                           matrix_ceiling)
-    if sum(len(block) for block in blocks.values()) > matrix_ceiling:
-        raise ValueError(f"wedge degree {k} has more dominant-block rows than "
-                         f"the wedge_matrix ceiling {matrix_ceiling}; "
-                         "raise it explicitly")
+    as {weight: (orbit size, block)}: the one place where wedge basis
+    subsets are enumerated.  Their total size, the rows every wedge
+    oracle builds, must not exceed `matrix_ceiling`; the sweep stops at
+    the first row over it.  Weight multiplicities are W-invariant, so
+    these blocks times their orbit sizes must fill the whole wedge power;
+    that count is checked here."""
+    blocks = {}
+    rows = 0
+    for subset in combinations(range(table.dim), k):
+        weight = _weight_of_subset(table, subset)
+        if min(weight) >= 0:
+            blocks.setdefault(weight, []).append(subset)
+            rows += 1
+            if rows > matrix_ceiling:
+                raise ValueError(
+                    f"wedge degree {k} has more dominant-block rows than "
+                    f"the wedge_matrix ceiling {matrix_ceiling}; "
+                    "raise it explicitly")
     out = {weight: (weyl_orbit_size(table.rs, weight), block)
            for weight, block in blocks.items()}
     if sum(orbit * len(block) for orbit, block in out.values()) != \
@@ -560,28 +553,28 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
     generators, weight block by weight block.
 
     The coboundary is g-equivariant, so the ideal is a g-submodule with
-    W-invariant weight multiplicities: a generator w wedge d(u) is built
-    only when its weight is dominant, and each dominant block's rank
-    counts times its orbit size.
+    W-invariant weight multiplicities: only the generators w wedge d(u)
+    of dominant weight mu are built, and each block's rank counts times
+    its orbit size.  A nonzero generator has a term w wedge a wedge b in
+    block mu, so each w is a block subset with two slots removed.
     """
-    if k < 2:
-        return 0
     images = _coboundary_images(table)
-    blocks = _dominant_blocks(table, k, matrix_ceiling)
-    pos = {s: i for _, block in blocks.values() for i, s in enumerate(block)}
-    gen_blocks = {weight: [] for weight in blocks}
-    # Only the (k-2)-wedges w that some d(u) lifts into a dominant block
-    # are stored.
-    w_weights = {tuple(x - y for x, y in zip(weight, table.weights[u]))
-                 for weight in blocks for u in range(table.dim)}
-    w_blocks = _wedge_blocks(table, k - 2, w_weights.__contains__)
-    for w_weight, w_block in w_blocks.items():
-        for u in range(table.dim):
-            weight = tuple(x + y for x, y in zip(w_weight, table.weights[u]))
-            vecs = gen_blocks.get(weight)
-            if vecs is None:
-                continue
-            for w_subset in w_block:
+    by_weight = {}
+    for u, weight in enumerate(table.weights):
+        by_weight.setdefault(weight, []).append(u)
+    total = 0
+    for orbit, block in _dominant_blocks(table, k, matrix_ceiling).values():
+        pos = {s: i for i, s in enumerate(block)}
+        partner = {}  # w -> the weight mu - wt(w) of its u
+        for s in block:
+            for i, j in combinations(range(k), 2):
+                w_subset = s[:i] + s[i + 1:j] + s[j + 1:]
+                if w_subset not in partner:
+                    partner[w_subset] = tuple(x + y for x, y in zip(
+                        table.weights[s[i]], table.weights[s[j]]))
+        vecs = []
+        for w_subset, weight in partner.items():
+            for u in by_weight.get(weight, ()):
                 # Distinct pairs (a, b) give distinct wedges w ^ a ^ b.
                 vec = {}
                 for (a, b), c in images[u]:
@@ -589,8 +582,8 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
                         sign, key = _wedge_normalize(w_subset + (a, b))
                         vec[pos[key]] = sign * c
                 vecs.append(vec)
-    return sum(orbit * exact_rank(gen_blocks[weight])
-               for weight, (orbit, _) in blocks.items())
+        total += orbit * exact_rank(vecs)
+    return total
 
 
 def verify_ideal_top_vectors(table: LieAlgebraTable, ideals) -> dict:

@@ -193,6 +193,16 @@ SIZE_ERRORS = [
                  {"chevalley_dim": 21, "subset_candidates": 5000},
                  ["degree 4", "5985 subsets", "subset_candidates ceiling 5000"],
                  id="seven-numbers-over-subset-candidates"),
+    # A2 has 26 positive-root partitions of triangular cost <= 6.
+    pytest.param(["verify", "--suite", "root-partitions", "--type", "A2",
+                  "--cas-ceiling", "6"], {"partition_candidates": 3},
+                 ["partitions exceed", "partition_candidates ceiling 3"],
+                 id="root-partitions-over-partition-candidates"),
+    # Size 6 has four partitions with at most two parts.
+    pytest.param(["mcore", "--m", "3", "--kmax", "3"],
+                 {"partition_candidates": 2},
+                 ["partition enumeration", "partition_candidates ceiling 2"],
+                 id="mcore-over-partition-candidates"),
 ]
 
 
@@ -210,6 +220,21 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+def test_skipped_degree_names_the_limit(capsys, monkeypatch, tmp_path):
+    # B2 has C(4, 2) = 6 subsets of two positive roots.
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps({"subset_candidates": 5}))
+    monkeypatch.setenv("ALCOVES_LIMITS", str(path))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "subset-bound",
+                           "--type", "B2", "--kmax", "2")
+    assert code == 0
+    checks = {c["claim"]: c for c in json.loads(out)["checks"]}
+    assert checks["subset-bound-k1"]["status"] == "pass"
+    assert checks["subset-bound-k2"]["status"] == "skipped"
+    assert checks["subset-bound-k2"]["detail"] == \
+        "6 subsets exceed the subset_candidates ceiling 5"
 
 
 # Each row: the module attribute replaced by a function that fails an
@@ -235,6 +260,22 @@ def test_internal_errors_exit_three(capsys, monkeypatch, target, argv):
     assert code == 3
     assert out == ""
     assert err == "internal error: invariant broken on purpose\n"
+
+
+def test_degenerate_killing_form_exits_three(capsys, monkeypatch):
+    import alcoves.wedge as wedge
+
+    def singular(mat):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(wedge, "invert_rational", singular)
+    # Build afresh: the cached table of A1 was verified with the real inverse.
+    monkeypatch.setattr(wedge, "_chevalley_table", wedge._chevalley_table.__wrapped__)
+    code, out, err = run_cli(capsys, "verify", "--suite", "seven-numbers",
+                             "--type", "A1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: Killing form is degenerate\n"
 
 
 def test_summary_mode(capsys):

@@ -117,7 +117,7 @@ def test_null_core_counts_hand_checked():
 
 
 def test_count_scale_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition_candidates ceiling 5"):
         count_null_cores(6, 3, max_candidates=5)
 
 
@@ -137,6 +137,15 @@ def test_bijection_images_and_signs():
         assert has_null_core(p, m)
         assert sum(p) % m == 0
         assert chi_at_type_rho(rs, e.lam) == (-1) ** e.length
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_coverage_totals_match_direct_enumeration(m):
+    """Each per-size total is the direct count of null-core partitions."""
+    res = verify_null_core_bijection(m, 8)
+    for size, (hit, total) in res["coverage_by_size"].items():
+        assert total == sum(1 for p in partitions_at_most(size, m - 1)
+                            if has_null_core(p, m))
 
 
 def test_small_sizes_fully_covered():

@@ -1,6 +1,7 @@
 """Structure-constant tables and the exact wedge-power computations."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -12,14 +13,24 @@ from alcoves.ideals import dim_Ck, enumerate_abelian_ideals, max_abelian_dimensi
 from alcoves.linalg import exact_rank, invert_rational, nullity
 from alcoves.rootsystem import parse_type, weyl_orbit_size
 from alcoves.series import euler_power
-from alcoves.wedge import (_apply_casimir, _coboundary_images,
-                           _has_highest_weight_vector, _theta_single,
-                           _wedge_blocks, _wedge_normalize, _wedge_replace1,
+from alcoves.wedge import (_apply_casimir, _chevalley_table,
+                           _coboundary_images, _dominant_blocks,
+                           _has_highest_weight_vector, _killing_dual,
+                           _theta_single, _wedge_normalize, _wedge_replace1,
                            _wedge_replace2, _weight_of_subset, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
 
 TABLE_TYPES = ["A1", "A2", "B2", "C2", "G2"]
+
+
+def weight_blocks(table, k):
+    """The full sweep, kept as an oracle: every k-subset of the basis,
+    grouped by weight."""
+    blocks = {}
+    for subset in combinations(range(table.dim), k):
+        blocks.setdefault(_weight_of_subset(table, subset), []).append(subset)
+    return blocks
 
 
 def test_exact_rank_and_nullity():
@@ -144,9 +155,64 @@ def test_a1_table_by_hand():
     assert dict(table.bracket(h, f)) == {f: -2}
 
 
-def test_killing_rank_b2():
-    table = build_chevalley(parse_type("B2"))
-    assert exact_rank(table.killing) == 10
+def trace_form(table):
+    """The dense Killing form K(x_a, x_b) = tr(ad x_a ad x_b), traced from
+    dense ad matrices: the earlier route, kept as an oracle."""
+    dim = table.dim
+    ad = []
+    for a in range(dim):
+        mat = [[0] * dim for _ in range(dim)]
+        for b in range(dim):
+            for i, c in table.bracket(a, b):
+                mat[i][b] += c
+        ad.append(mat)
+    return [[sum(ad[a][i][j] * ad[b][j][i] for i in range(dim)
+                 for j in range(dim)) for b in range(dim)] for a in range(dim)]
+
+
+@lru_cache(maxsize=None)
+def killing_inverse(table):
+    return invert_rational(trace_form(table))
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["A3"])
+def test_dual_basis_inverts_the_trace_form(label):
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    killing = trace_form(table)
+    assert exact_rank(killing) == table.dim
+    for a in range(table.dim):
+        for b in range(table.dim):
+            opposite = not any(x + y for x, y in
+                               zip(table.weights[a], table.weights[b]))
+            assert opposite or killing[a][b] == 0
+    inv = killing_inverse(table)
+    den = table.killing_den
+    assert den == lcm(*(x.denominator for row in inv for x in row))
+    assert [dict(terms) for terms in table.dual] == \
+        [{k: x * den for k, x in enumerate(row) if x} for row in inv]
+    assert all(type(c) is int for terms in table.dual for _, c in terms)
+
+
+def test_one_table_per_root_system():
+    rs = parse_type("B2")
+    table = build_chevalley(rs)
+    assert build_chevalley(rs, 14) is table
+    assert build_chevalley(rs, dim_ceiling=14) is table
+    assert build_chevalley(rs, dim_ceiling=100) is table
+
+
+def test_degenerate_killing_form_is_an_internal_error(monkeypatch):
+    # A root vector that brackets to nothing pairs to zero with its negative.
+    with pytest.raises(AssertionError, match="Killing form is degenerate"):
+        _killing_dual([[()] * 2] * 2, 1, 0)
+
+    def singular(mat):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr("alcoves.wedge.invert_rational", singular)
+    with pytest.raises(AssertionError, match="Killing form is degenerate"):
+        _chevalley_table.__wrapped__(parse_type("A2"))
 
 
 def test_dim_ceiling_guard():
@@ -175,7 +241,9 @@ def test_eigenspace_matches_ideal_sum(label):
 
 def rational_coboundary(table, u):
     """d(u) = 1/2 sum_j x_j wedge [y_j, u] over the rationals, with the
-    dual basis y_j = sum_k killing_inv[j][k] x_k."""
+    dual basis y_j = sum_k inv[j][k] x_k from the inverse of the dense
+    trace form."""
+    inv = killing_inverse(table)
     acc = {}
     for j in range(table.dim):
         for k in range(table.dim):
@@ -183,7 +251,7 @@ def rational_coboundary(table, u):
                 if i != j:
                     key, sign = ((j, i), 1) if j < i else ((i, j), -1)
                     acc[key] = acc.get(key, 0) + \
-                        sign * c * table.killing_inv[j][k] / 2
+                        sign * c * inv[j][k] / 2
     return {key: v for key, v in acc.items() if v}
 
 
@@ -254,24 +322,22 @@ def test_matrix_ceiling_guard():
 
 def test_row_ceiling_stops_the_sweep(monkeypatch):
     """F4 has 305999 dominant rows among the C(52, 6) = 20358520 subsets
-    of degree 6; the sweep stops once it has stored one row over the
-    ceiling, 150121 subsets in."""
+    of degree 6; the sweep stops at the first row over the ceiling,
+    150121 subsets in."""
     table = build_chevalley(parse_type("F4"), dim_ceiling=52)
-    dominant = lambda w: min(w) >= 0
     swept = []
     monkeypatch.setattr("alcoves.wedge._weight_of_subset",
                         lambda t, s: swept.append(s) or _weight_of_subset(t, s))
-    blocks = _wedge_blocks(table, 6, dominant, 3432)
-    assert sum(len(block) for block in blocks.values()) == 3433
-    assert len(swept) == 150121
     with pytest.raises(ValueError, match="wedge_matrix ceiling 3432"):
         casimir_eigenspace_dim(table, 6)
-    # With `keep` and room for every row, the sweep is the full one
-    # restricted to dominant weights.
+    assert len(swept) == 150121
+    assert sum(min(_weight_of_subset(table, s)) >= 0 for s in swept) == 3433
+    # With room for every row, the blocks are the full sweep's dominant ones.
     table = build_chevalley(parse_type("G2"))
-    full = _wedge_blocks(table, 4)
-    assert _wedge_blocks(table, 4, dominant, 184) == \
-        {w: block for w, block in full.items() if dominant(w)}
+    blocks = _dominant_blocks(table, 4, 184)
+    assert {w: block for w, (_, block) in blocks.items()} == \
+        {w: block for w, block in weight_blocks(table, 4).items()
+         if min(w) >= 0}
 
 
 @pytest.mark.parametrize("label", TABLE_TYPES)
@@ -290,7 +356,7 @@ def full_eigenspace_dim(table, k):
         return 1
     shift = k * table.killing_den
     total = 0
-    for block in _wedge_blocks(table, k).values():
+    for block in weight_blocks(table, k).values():
         pos = {s: i for i, s in enumerate(block)}
         rows = []
         for s in block:
@@ -366,7 +432,7 @@ def test_highest_weight_test_matches_stacked_oracle(label):
     rs = parse_type(label)
     table = build_chevalley(rs, dim_ceiling=rs.dim_g)
     for k in range(rs.h_dual + 1):
-        blocks = _wedge_blocks(table, k)
+        blocks = weight_blocks(table, k)
         found = {w for w, block in blocks.items() if all(x >= 0 for x in w)
                  and _has_highest_weight_vector(table, block)}
         assert found == {w for w, block in blocks.items()
@@ -398,7 +464,7 @@ def test_dominant_blocks_times_orbits_fill_each_degree(label):
     rs = parse_type(label)
     table = build_chevalley(rs, dim_ceiling=rs.dim_g)
     for k in range(rs.h_dual + 1):
-        blocks = _wedge_blocks(table, k)
+        blocks = weight_blocks(table, k)
         dominant = [w for w in blocks if all(x >= 0 for x in w)]
         for w in dominant:
             orbit = orbit_by_reflections(rs, w)
