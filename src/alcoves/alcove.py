@@ -6,8 +6,9 @@ system; a root phi = sum c_i alpha_i then evaluates as sum c_i X_i, and
 the affine walls are the level sets at multiples of `scale`.  The base
 point x0 is the image of 2*rho under the Killing identification, which in
 these units is X_i = sym_i.  Every point the search reaches is an integer
-vector.  Tracking sigma(x0) across the group action yields, for each
-dominant alcove:
+vector.  An affine element sigma is carried as its point x = sigma(x0)
+and its linear part w, with sigma(y) = x + w (y - x0); its translation
+sigma(0) is never tracked.  The point yields, for each dominant alcove:
 
 * the wall-crossing counts n_phi = phi(X) // scale,
 * the length (their sum),
@@ -25,26 +26,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .rootsystem import RootSystem
 
 
 @dataclass(frozen=True)
 class AffineElement:
-    """One dominant alcove, with its affine transformation x -> w(x) + z.
+    """One dominant alcove, with its affine transformation
+    sigma(y) = x + w (y - x0).
 
-    `w` is the linear part as an integer matrix acting on evaluation
-    vectors; `z` has integer coordinates in the coroot basis.  `x` is the
-    tracked point sigma(x0) as an integer vector in units of 1/scale,
-    `n_vec` the wall counts in the fixed positive-root order, `lam` the
-    alcove weight in fundamental coordinates and `cas` its (integer)
-    Casimir eigenvalue.
+    `x` is the point sigma(x0) as an integer vector in units of 1/scale,
+    and `w` the linear part as an integer matrix acting on evaluation
+    vectors; the two fix sigma.  `n_vec` holds the wall counts in the
+    fixed positive-root order, `lam` the alcove weight in fundamental
+    coordinates and `cas` its (integer) Casimir eigenvalue.
     """
 
     x: tuple
     w: tuple
-    z: tuple
     n_vec: tuple
     length: int
     lam: tuple
@@ -75,15 +75,19 @@ def _affine_reflection(rs: RootSystem, beta: tuple):
 
 
 def _generators(rs: RootSystem):
-    """The l + 1 affine simple reflections as (matrix, translation) pairs
-    acting on evaluation vectors."""
+    """The l + 1 affine simple reflections g as pairs (matrix, g(x0) - x0)
+    on evaluation vectors, for the walls alpha_i = 0 and psi = 1.  The wall
+    alpha_i = 0 has the matrix of the wall alpha_i = 1, without its
+    translation.  The reflection in the wall beta = c moves x0 by
+    -(beta(x0) - c) beta^vee."""
     l = rs.rank
+    walls = [(tuple(int(i == j) for j in range(l)), 0) for i in range(l)]
+    walls.append((rs.positive_roots[rs.highest_root], rs.scale))
     gens = []
-    for i in range(l):
-        mat = tuple(tuple((1 if j == k else 0) - (rs.cartan[i][j] if k == i else 0)
-                          for k in range(l)) for j in range(l))
-        gens.append((mat, (0,) * l))
-    gens.append(_affine_reflection(rs, rs.positive_roots[rs.highest_root]))
+    for beta, level in walls:
+        mat, coroot = _affine_reflection(rs, beta)
+        shift = evaluate_root(beta, rs.sym) - level
+        gens.append((mat, tuple(-shift * c for c in coroot)))
     return tuple(gens)
 
 
@@ -94,17 +98,6 @@ def _mat_mul(a, b):
 
 def _mat_vec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _affine(rs: RootSystem, w, tvec, point) -> tuple:
-    """w(point) + t, for a point in units of 1/scale and the evaluation
-    vector t of a coroot-lattice element."""
-    return tuple(sum(a * p for a, p in zip(row, point)) + rs.scale * t
-                 for row, t in zip(w, tvec))
 
 
 @lru_cache(maxsize=None)
@@ -120,8 +113,7 @@ def _wall_counts(rs: RootSystem, x) -> tuple:
     return tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
 
 
-def _element_from_map(rs: RootSystem, w, tvec, x, n_vec) -> AffineElement:
-    length = sum(n_vec)
+def _element_from_map(rs: RootSystem, w, x, n_vec) -> AffineElement:
     lam = []
     for xi, s in zip(x, rs.sym):
         m, rem = divmod(xi, s)
@@ -129,15 +121,7 @@ def _element_from_map(rs: RootSystem, w, tvec, x, n_vec) -> AffineElement:
             raise AssertionError("alcove weight is not integral")
         lam.append(m - 1)
     cas = sum(n * (n + 1) // 2 for n in n_vec)
-    # Coroot coordinates of the translation part: solve t = cartan^T * z.
-    adj, den = _integer_inverse(rs)
-    z = []
-    for i in range(rs.rank):
-        zi, rem = divmod(sum(adj[j][i] * tvec[j] for j in range(rs.rank)), den)
-        if rem:
-            raise AssertionError("translation part is not in the coroot lattice")
-        z.append(zi)
-    return AffineElement(x=x, w=w, z=tuple(z), n_vec=n_vec, length=length,
+    return AffineElement(x=x, w=w, n_vec=n_vec, length=sum(n_vec),
                          lam=tuple(lam), cas=cas)
 
 
@@ -154,55 +138,45 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
     l = rs.rank
     identity = _element_from_map(
         rs, tuple(tuple(int(i == j) for j in range(l)) for i in range(l)),
-        (0,) * l, rs.sym, _wall_counts(rs, rs.sym))
-    # x = (e.w gmat) sym + scale tvec = e.w (gmat sym) + scale tvec, so
-    # the point costs two matrix-vector products; the matrix product
-    # w = e.w gmat is formed only for an accepted candidate.
-    gens = [(gmat, gt, _mat_vec(gmat, rs.sym)) for gmat, gt in _generators(rs)]
+        rs.sym, _wall_counts(rs, rs.sym))
+    # (e g)(x0) = e.x + e.w (g(x0) - x0): one matrix-vector product per
+    # candidate; the matrix product e.w g is formed only when it is kept.
+    gens = _generators(rs)
     seen = {identity.x}
     out = [identity]
     frontier = [identity]
     for target in range(1, max_length + 1):
         new = []
         for e in frontier:
-            ez = _coroot_to_eval(rs, e.z)
-            for gmat, gt, gsym in gens:
-                tvec = _vec_add(_mat_vec(e.w, gt), ez)
-                x = _affine(rs, e.w, tvec, gsym)
+            for gmat, step in gens:
+                x = tuple(map(add, e.x, _mat_vec(e.w, step)))
                 if not _is_dominant(x) or x in seen:
                     continue
                 n_vec = _wall_counts(rs, x)
                 if sum(n_vec) != target:
                     continue
                 seen.add(x)
-                new.append(_element_from_map(rs, _mat_mul(e.w, gmat), tvec, x, n_vec))
+                new.append(_element_from_map(rs, _mat_mul(e.w, gmat), x, n_vec))
         new.sort(key=lambda e: e.n_vec)
         out.extend(new)
         frontier = new
     return tuple(out)
 
 
-def _coroot_to_eval(rs: RootSystem, z) -> tuple:
-    """Evaluation vector of a coroot-lattice element: alpha_j(z)."""
-    return tuple(sum(z[i] * rs.cartan[i][j] for i in range(rs.rank))
-                 for j in range(rs.rank))
-
-
 def reflect_in_wall(rs: RootSystem, e: AffineElement, idx: int) -> AffineElement:
     """s e for the reflection s in the affine wall beta = 1 of the positive
     root with index `idx`: the alcove of `e` mirrored in that wall, by one
-    left multiplication.  With s(y) = M y + beta^vee, the product maps y to
-    M w y + (M t + beta^vee)."""
+    left multiplication.  With s(y) = M y + beta^vee, the product has the
+    point s(x) and the linear part M w."""
     mat, coroot = _affine_reflection(rs, rs.positive_roots[idx])
-    tvec = _vec_add(_mat_vec(mat, _coroot_to_eval(rs, e.z)), coroot)
-    x = _affine(rs, mat, coroot, e.x)
-    return _element_from_map(rs, _mat_mul(mat, e.w), tvec, x, _wall_counts(rs, x))
+    x = tuple(v + rs.scale * c for v, c in zip(_mat_vec(mat, e.x), coroot))
+    return _element_from_map(rs, _mat_mul(mat, e.w), x, _wall_counts(rs, x))
 
 
 def apply_element(rs: RootSystem, e: AffineElement, point) -> tuple:
     """Apply the affine transformation of `e` to a point given in units
-    of 1/scale."""
-    return _affine(rs, e.w, _coroot_to_eval(rs, e.z), point)
+    of 1/scale: x + w (point - x0)."""
+    return tuple(map(add, e.x, _mat_vec(e.w, tuple(map(sub, point, rs.sym)))))
 
 
 def finite_part_length(rs: RootSystem, e: AffineElement) -> int:
@@ -218,10 +192,15 @@ def finite_part_length(rs: RootSystem, e: AffineElement) -> int:
 
 
 def two_rho_pairing_killing(rs: RootSystem, e: AffineElement) -> int:
-    """(2*rho, z)_K for the translation part, an integer."""
-    t = _coroot_to_eval(rs, e.z)
-    val = sum(rs.two_rho[j] * t[j] for j in range(rs.rank))
-    return int(val)
+    """(2*rho, z)_K for the translation part z = sigma(0) / scale, an
+    integer.  z must lie in the coroot lattice: its coroot coordinates
+    solve sigma(0) = scale * cartan^T z."""
+    t = apply_element(rs, e, (0,) * rs.rank)
+    adj, den = _integer_inverse(rs)
+    for i in range(rs.rank):
+        if sum(adj[j][i] * t[j] for j in range(rs.rank)) % (den * rs.scale):
+            raise AssertionError("translation part is not in the coroot lattice")
+    return evaluate_root(rs.two_rho, t) // rs.scale
 
 
 def in_wf2(rs: RootSystem, e: AffineElement) -> bool:
@@ -249,7 +228,7 @@ def reduce_to_fundamental(rs: RootSystem, point):
     """
     l = rs.rank
     psi = rs.positive_roots[rs.highest_root]
-    pv = rs.psi_coroot_values
+    pv = _affine_reflection(rs, psi)[1]
     p = tuple(point)
     parity = 1
     while True:

@@ -29,7 +29,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .alcove import AffineElement, enumerate_dominant, in_wf2, reflect_in_wall
+from .alcove import (AffineElement, enumerate_dominant, enumerate_wf2, in_wf2,
+                     reflect_in_wall)
 from .limits import Limits
 from .rootsystem import RootSystem, weyl_dimension
 
@@ -141,7 +142,7 @@ def _wf2_by_nvec(rs: RootSystem):
     the indicator vectors we ever look up.
     """
     bound = max_abelian_dimension(rs)
-    return {e.n_vec: e for e in enumerate_dominant(rs, bound) if in_wf2(rs, e)}
+    return {e.n_vec: e for e in enumerate_wf2(rs, bound)}
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, fields, replace
 
 ENV_VAR = "ALCOVES_LIMITS"
+BIG_FACTOR = 100  # --allow-big multiplies every ceiling by this
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,8 @@ class Limits:
     max_order: int = 128                    # series truncation order
     max_rank: int = 8                       # rank of --type, and m - 1 for --m
 
-    def embiggen(self, factor: int = 100) -> "Limits":
-        return Limits(**{f.name: getattr(self, f.name) * factor
+    def embiggen(self) -> "Limits":
+        return Limits(**{f.name: getattr(self, f.name) * BIG_FACTOR
                          for f in fields(Limits)})
 
 

@@ -106,7 +106,6 @@ class RootSystem:
     exponents: tuple
     dim_g: int
     two_rho: tuple                 # 2*rho in simple-root coordinates
-    psi_coroot_values: tuple       # alpha_j(psi^vee), integers
     _index: dict = field(repr=False, default=None)
 
     def __eq__(self, other):
@@ -276,23 +275,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     dim_g = 2 * len(positive) + rank
 
-    # alpha_j(psi^vee) = 2 (psi, alpha_j) / (psi, psi) must be an integer.
-    psi_coroot_values = []
-    for j in range(rank):
-        alpha_j = [int(i == j) for i in range(rank)]
-        v, rem = divmod(2 * pair(psi, alpha_j), psi_norm)
-        if rem:
-            raise AssertionError("psi^vee does not lie in the coroot lattice")
-        psi_coroot_values.append(v)
-
     return RootSystem(
         family=family, rank=rank, cartan=cartan,
         cartan_inv=invert_rational(cartan),
         positive_roots=tuple(positive), highest_root=psi_idx,
         sym=sym, scale=h_dual * psi_norm // 2,
         h=h, h_dual=h_dual, exponents=exponents, dim_g=dim_g,
-        two_rho=two_rho, psi_coroot_values=tuple(psi_coroot_values),
-        _index=index)
+        two_rho=two_rho, _index=index)
 
 
 def parse_label(label: str) -> tuple:

@@ -310,12 +310,15 @@ def suite_mcore(limits: Limits, m: int = 3, kmax: int = 3,
 
     rep = Report(suite="mcore", params={"m": m, "kmax": kmax,
                                         "max_length": max_length})
+    # The candidate counts grow with k: the largest is refused first.
+    got = {k: typea.count_null_cores(m, k, limits.partition_candidates)
+           for k in range(kmax, -1, -1)}
     for k in range(kmax + 1):
-        got = typea.count_null_cores(m, k, limits.partition_candidates)
         expected = typea.null_core_count_expected(m, k)
-        rep.add(f"null-core-count-size-{m * k}", got == expected,
-                {"enumerated": got, "binomial": expected})
-    res = typea.verify_null_core_bijection(m, max_length)
+        rep.add(f"null-core-count-size-{m * k}", got[k] == expected,
+                {"enumerated": got[k], "binomial": expected})
+    res = typea.verify_null_core_bijection(m, max_length,
+                                           limits.partition_candidates)
     rep.add("alcove-weights-map-to-null-cores", res["ok"],
             {"alcoves": res["count"], "failures": len(res["failures"])})
     rep.add("images-distinct", res["distinct"])

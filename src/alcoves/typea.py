@@ -100,29 +100,39 @@ def partitions_at_most(n: int, max_parts: int):
     yield from rec(n, n, max_parts)
 
 
+def _count_partitions_at_most(n: int, max_parts: int) -> int:
+    """The number of partitions of n with at most max_parts parts, which
+    equals the number with parts at most max_parts (conjugation)."""
+    ways = [1] + [0] * n
+    for part in range(1, max_parts + 1):
+        for c in range(part, n + 1):
+            ways[c] += ways[c - part]
+    return ways[n]
+
+
 def count_null_cores(m: int, k: int,
                      max_candidates: int = Limits.partition_candidates) -> int:
     """Number of partitions of m*k with fewer than m parts and empty
-    m-core, by direct enumeration and filtering."""
+    m-core, by direct enumeration and filtering; the candidates are
+    counted first, so an over-ceiling size is refused before any work."""
     if k == 0:
         return 1
     n = m * k
-    count = 0
-    for seen, p in enumerate(partitions_at_most(n, m - 1), 1):
-        if seen > max_candidates:
-            raise ValueError("partition enumeration exceeded the "
-                             f"partition_candidates ceiling {max_candidates}; "
-                             "raise it explicitly")
-        if has_null_core(p, m):
-            count += 1
-    return count
+    candidates = _count_partitions_at_most(n, m - 1)
+    if candidates > max_candidates:
+        raise ValueError(f"partition enumeration of {candidates} partitions of "
+                         f"{n} exceeds the partition_candidates ceiling "
+                         f"{max_candidates}; raise it explicitly")
+    return sum(1 for p in partitions_at_most(n, m - 1) if has_null_core(p, m))
 
 
 def null_core_count_expected(m: int, k: int) -> int:
     return comb(m + k - 2, m - 2)
 
 
-def verify_null_core_bijection(m: int, max_length: int) -> dict:
+def verify_null_core_bijection(
+        m: int, max_length: int,
+        max_candidates: int = Limits.partition_candidates) -> dict:
     """Map every alcove weight of A_{m-1} up to the length bound to its
     partition: all images must have empty m-core, sizes divisible by m,
     no repeats, and character signs matching the length parity.
@@ -146,7 +156,8 @@ def verify_null_core_bijection(m: int, max_length: int) -> dict:
     distinct = len(set(images)) == len(images)
     hits = Counter(sum(p) for p in set(images))
     # A partition with empty m-core has size divisible by m.
-    coverage = {s: (hit, count_null_cores(m, s // m) if s % m == 0 else 0)
+    coverage = {s: (hit, count_null_cores(m, s // m, max_candidates)
+                    if s % m == 0 else 0)
                 for s, hit in sorted(hits.items())}
     return {
         "count": len(images),

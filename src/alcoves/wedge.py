@@ -354,23 +354,9 @@ def _split_casimir(table: LieAlgebraTable):
     return omega
 
 
-def _wedge_normalize(indices):
-    """Sort a tuple of basis indices; returns (sign, sorted tuple) or None."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and idx[j - 1] == idx[j]:
-            return None
-    return sign, tuple(idx)
-
-
 def _wedge_replace1(subset, s, c):
-    """`_wedge_normalize` of a sorted tuple with slot s set to c: the other
+    """The wedge of a sorted tuple of basis indices with slot s set to c,
+    as (sign, sorted tuple), or None when c repeats an entry: the other
     entries stay sorted, so c is inserted by bisection and the sign is the
     parity of the number of places it moves."""
     rest = subset[:s] + subset[s + 1:]
@@ -381,8 +367,10 @@ def _wedge_replace1(subset, s, c):
 
 
 def _wedge_replace2(subset, s, t, c, d):
-    """`_wedge_normalize` of a sorted tuple with slots s < t set to c, d,
-    by bisection as in `_wedge_replace1`; c > d adds one transposition."""
+    """The wedge of a tuple with slots s < t set to c, d and its other
+    entries sorted, by bisection as in `_wedge_replace1`; c > d adds one
+    transposition.  With s, t the last two slots, this inserts c and d
+    into a sorted tuple."""
     if c == d:
         return None
     rest = subset[:s] + subset[s + 1:t] + subset[t + 1:]
@@ -537,7 +525,7 @@ def _coboundary_images(table: LieAlgebraTable):
         acc = {}
         for j in range(dim):
             for i, c in ady[j][u]:
-                res = _wedge_normalize((j, i))
+                res = _wedge_replace2((j, i), 0, 1, j, i)
                 if res is None:
                     continue
                 sign, key = res
@@ -579,7 +567,8 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
                 vec = {}
                 for (a, b), c in images[u]:
                     if a not in w_subset and b not in w_subset:
-                        sign, key = _wedge_normalize(w_subset + (a, b))
+                        sign, key = _wedge_replace2(w_subset + (a, b),
+                                                    k - 2, k - 1, a, b)
                         vec[pos[key]] = sign * c
                 vecs.append(vec)
         total += orbit * exact_rank(vecs)

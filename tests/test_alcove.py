@@ -88,10 +88,98 @@ def test_element_invariants(label):
         # The tracked point is the element applied to the base point.
         assert apply_element(rs, e, rs.sym) == e.x
         # Every field is built from plain integers.
-        for vec in (e.x, e.z, e.n_vec, e.lam) + e.w:
+        for vec in (e.x, e.n_vec, e.lam) + e.w:
             assert all(type(v) is int for v in vec)
         assert type(e.length) is int and type(e.cas) is int
     assert len(seen_weights) == len(elements)
+
+
+def _translation_tracking_bfs(rs, max_length):
+    """The dominant alcoves by a search that threads the translation:
+    sigma(y) = w y + scale * t, where t_j = alpha_j(z) for the coroot
+    coordinates z of the translation, solved for every kept alcove.  The
+    simple reflections are built from the Cartan matrix by hand.  Returns
+    dicts in the order of `enumerate_dominant`."""
+    l, scale = rs.rank, rs.scale
+    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+    psi = rs.positive_roots[rs.highest_root]
+    pv = tuple(2 * rs.pair(psi, eye[j]) // rs.pair(psi, psi) for j in range(l))
+    gens = [(tuple(tuple(eye[j][k] - (rs.cartan[i][j] if k == i else 0)
+                         for k in range(l)) for j in range(l)), (0,) * l)
+            for i in range(l)]
+    gens.append((tuple(tuple(eye[j][k] - pv[j] * psi[k] for k in range(l))
+                       for j in range(l)), pv))
+
+    def mat_vec(m, v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+    def element(w, t, x):
+        n_vec = tuple(sum(c * v for c, v in zip(root, x)) // scale
+                      for root in rs.positive_roots)
+        z = tuple(sum(rs.cartan_inv[j][i] * t[j] for j in range(l))
+                  for i in range(l))
+        assert all(v.denominator == 1 for v in z)
+        return {"x": x, "w": w, "t": t, "z": tuple(int(v) for v in z),
+                "n_vec": n_vec, "length": sum(n_vec),
+                "lam": tuple(v // s - 1 for v, s in zip(x, rs.sym)),
+                "cas": sum(n * (n + 1) // 2 for n in n_vec)}
+
+    frontier = [element(eye, (0,) * l, rs.sym)]
+    out = list(frontier)
+    seen = {rs.sym}
+    for target in range(1, max_length + 1):
+        new = []
+        for e in frontier:
+            for gmat, gt in gens:
+                t = tuple(a + b for a, b in zip(mat_vec(e["w"], gt), e["t"]))
+                x = tuple(v + scale * c for v, c in
+                          zip(mat_vec(e["w"], mat_vec(gmat, rs.sym)), t))
+                if min(x) <= 0 or x in seen:
+                    continue
+                w = tuple(tuple(sum(e["w"][j][i] * gmat[i][k] for i in range(l))
+                                for k in range(l)) for j in range(l))
+                cand = element(w, t, x)
+                if cand["length"] == target:
+                    seen.add(x)
+                    new.append(cand)
+        new.sort(key=lambda e: e["n_vec"])
+        out.extend(new)
+        frontier = new
+    return out
+
+
+@pytest.mark.parametrize("label", SMALL_TYPES)
+def test_search_matches_translation_tracking_oracle(label):
+    """The point-and-linear-part search finds the alcoves of the search
+    that threads the translation, field for field; the oracle's coroot
+    coordinates are those of sigma(0) / scale, recovered from (x, w)."""
+    rs = parse_type(label)
+    depth = 6 if label in ("F4", "E6") else 8
+    oracle = _translation_tracking_bfs(rs, depth)
+    elements = enumerate_dominant(rs, depth)
+    assert len(elements) == len(oracle)
+    for e, o in zip(elements, oracle):
+        for name in ("x", "w", "n_vec", "length", "lam", "cas"):
+            assert getattr(e, name) == o[name], name
+        origin = apply_element(rs, e, (0,) * rs.rank)
+        z = tuple(sum(rs.cartan_inv[j][i] * Fraction(origin[j], rs.scale)
+                      for j in range(rs.rank)) for i in range(rs.rank))
+        assert z == o["z"]
+
+
+def test_translation_off_the_coroot_lattice_is_refused(monkeypatch):
+    import alcoves.alcove as alcove
+
+    real = alcove._integer_inverse
+    # Doubling the denominator halves the solved coroot coordinates, so
+    # the translation psi^vee = (1, 1) of the length-one alcove is off it.
+    monkeypatch.setattr(alcove, "_integer_inverse",
+                        lambda rs: (real(rs)[0], 2 * real(rs)[1]))
+    rs = parse_type("A2")
+    identity, reflected = enumerate_dominant(rs, 1)
+    assert two_rho_pairing_killing(rs, identity) == 0
+    with pytest.raises(AssertionError, match="not in the coroot lattice"):
+        two_rho_pairing_killing(rs, reflected)
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)

@@ -198,11 +198,16 @@ SIZE_ERRORS = [
                   "--cas-ceiling", "6"], {"partition_candidates": 3},
                  ["partitions exceed", "partition_candidates ceiling 3"],
                  id="root-partitions-over-partition-candidates"),
-    # Size 6 has four partitions with at most two parts.
+    # Size 9, the largest, has five partitions with at most two parts.
     pytest.param(["mcore", "--m", "3", "--kmax", "3"],
                  {"partition_candidates": 2},
                  ["partition enumeration", "partition_candidates ceiling 2"],
                  id="mcore-over-partition-candidates"),
+    # Sizes 0 and 3 pass; the coverage total at size 6 has four candidates.
+    pytest.param(["mcore", "--m", "3", "--kmax", "1", "--max-length", "6"],
+                 {"partition_candidates": 3},
+                 ["partition enumeration", "partition_candidates ceiling 3"],
+                 id="mcore-coverage-over-partition-candidates"),
 ]
 
 
@@ -220,6 +225,20 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+def test_mcore_refuses_before_any_core(capsys, monkeypatch):
+    import alcoves.typea
+
+    def no_core(*args, **kwargs):
+        raise AssertionError("an m-core was taken")
+
+    monkeypatch.setattr(alcoves.typea, "m_core", no_core)
+    # Size 270 has 805240304 partitions with at most eight parts.
+    code, out, err = run_cli(capsys, "mcore", "--m", "9", "--kmax", "30")
+    assert (code, out) == (2, "")
+    assert "805240304 partitions" in err
+    assert "partition_candidates ceiling 2000000" in err
 
 
 def test_skipped_degree_names_the_limit(capsys, monkeypatch, tmp_path):
@@ -276,6 +295,19 @@ def test_degenerate_killing_form_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: Killing form is degenerate\n"
+
+
+def test_translation_off_the_coroot_lattice_exits_three(capsys, monkeypatch):
+    import alcoves.alcove as alcove
+
+    real = alcove._integer_inverse
+    # Doubling the denominator halves the solved coroot coordinates.
+    monkeypatch.setattr(alcove, "_integer_inverse",
+                        lambda rs: (real(rs)[0], 2 * real(rs)[1]))
+    code, out, err = run_cli(capsys, "verify", "--suite", "parity",
+                             "--type", "A2")
+    assert (code, out) == (3, "")
+    assert err == "internal error: translation part is not in the coroot lattice\n"
 
 
 def test_summary_mode(capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from alcoves.alcove import chi_at_type_rho, enumerate_dominant
 from alcoves.rootsystem import build_root_system
-from alcoves.typea import (beta_numbers, count_null_cores, has_null_core,
+from alcoves.typea import (_count_partitions_at_most, beta_numbers,
+                           count_null_cores, has_null_core,
                            m_core, null_core_count_expected,
                            partition_from_betas, partition_to_weight,
                            partitions_at_most, verify_null_core_bijection,
@@ -114,6 +115,15 @@ def test_null_core_counts_hand_checked():
     # Size 5 with at most 4 parts: four of the six partitions qualify.
     assert count_null_cores(5, 1) == 4
     assert count_null_cores(4, 0) == 1
+
+
+def test_candidate_count_matches_enumeration():
+    for n in range(16):
+        for max_parts in range(6):
+            assert _count_partitions_at_most(n, max_parts) == \
+                sum(1 for _ in partitions_at_most(n, max_parts))
+    assert _count_partitions_at_most(90, 8) == 817789
+    assert _count_partitions_at_most(270, 8) == 805240304
 
 
 def test_count_scale_guard():

@@ -16,12 +16,28 @@ from alcoves.series import euler_power
 from alcoves.wedge import (_apply_casimir, _chevalley_table,
                            _coboundary_images, _dominant_blocks,
                            _has_highest_weight_vector, _killing_dual,
-                           _theta_single, _wedge_normalize, _wedge_replace1,
+                           _theta_single, _wedge_replace1,
                            _wedge_replace2, _weight_of_subset, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
 
 TABLE_TYPES = ["A1", "A2", "B2", "C2", "G2"]
+
+
+def _wedge_normalize(indices):
+    """Sort a tuple of basis indices by insertion, kept as the oracle of
+    the slot replacements; returns (sign, sorted tuple) or None."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+        if j > 0 and idx[j - 1] == idx[j]:
+            return None
+    return sign, tuple(idx)
 
 
 def weight_blocks(table, k):
@@ -512,3 +528,10 @@ def test_slot_replacement_matches_generic_normalize(label):
                         repl[s], repl[t] = c, d
                         assert _wedge_replace2(subset, s, t, c, d) == \
                             _wedge_normalize(repl)
+    # Two indices inserted into a sorted tuple, as the coboundary uses it.
+    for n in range(3):
+        for w in combinations(range(dim), n):
+            for a in range(dim):
+                for b in range(dim):
+                    assert _wedge_replace2(w + (a, b), n, n + 1, a, b) == \
+                        _wedge_normalize(w + (a, b))
