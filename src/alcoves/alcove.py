@@ -23,7 +23,7 @@ dominant facet neighbor of length n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, sub
@@ -31,8 +31,7 @@ from operator import add, mul, sub
 from .rootsystem import RootSystem
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(namedtuple("AffineElement", "x w n_vec length lam cas")):
     """One dominant alcove, with its affine transformation
     sigma(y) = x + w (y - x0).
 
@@ -43,12 +42,7 @@ class AffineElement:
     coordinates and `cas` its (integer) Casimir eigenvalue.
     """
 
-    x: tuple
-    w: tuple
-    n_vec: tuple
-    length: int
-    lam: tuple
-    cas: int
+    __slots__ = ()
 
 
 def evaluate_root(coords, point):

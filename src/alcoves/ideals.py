@@ -24,7 +24,7 @@ The partition sweep prunes nothing; it only carries its sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -35,12 +35,10 @@ from .limits import Limits
 from .rootsystem import RootSystem, weyl_dimension
 
 
-@dataclass(frozen=True)
-class AbelianIdeal:
-    """A set of positive-root indices with its weight sum."""
+class AbelianIdeal(namedtuple("AbelianIdeal", "roots lam")):
+    """A set of positive-root indices (a frozenset) with its weight sum."""
 
-    roots: frozenset
-    lam: tuple
+    __slots__ = ()
 
     @property
     def k(self) -> int:

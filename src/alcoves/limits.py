@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
 
 ENV_VAR = "ALCOVES_LIMITS"
 BIG_FACTOR = 100  # --allow-big multiplies every ceiling by this
 
 
-@dataclass(frozen=True)
 class Limits:
+    """An immutable set of ceilings.  The defaults are class attributes,
+    so that a default argument can read `Limits.<field>`; an instance
+    stores only the fields given to it by keyword."""
+
     subset_candidates: int = 2_000_000      # k-subset sweeps (roots, wedge bases)
     partition_candidates: int = 2_000_000   # root-partition and core sweeps
     chevalley_dim: int = 14                 # largest algebra built as a table
@@ -25,23 +27,49 @@ class Limits:
     max_order: int = 128                    # series truncation order
     max_rank: int = 8                       # rank of --type, and m - 1 for --m
 
+    def __init__(self, **fields):
+        unknown = set(fields) - set(FIELDS)
+        if unknown:
+            raise TypeError(f"Limits has no fields {sorted(unknown)}")
+        vars(self).update(fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Limits is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in FIELDS)
+
+    def __eq__(self, other):
+        return isinstance(other, Limits) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "Limits(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in FIELDS) + ")"
+
     def embiggen(self) -> "Limits":
-        return Limits(**{f.name: getattr(self, f.name) * BIG_FACTOR
-                         for f in fields(Limits)})
+        return Limits(**{name: getattr(self, name) * BIG_FACTOR
+                         for name in FIELDS})
+
+
+FIELDS = tuple(Limits.__annotations__)
 
 
 def load_limits(path: str | None = None) -> Limits:
     """Defaults, overridden by a JSON file from the environment or `path`."""
-    limits = Limits()
     path = path or os.environ.get(ENV_VAR)
     if not path:
-        return limits
+        return Limits()
     try:
         with open(path, encoding="utf-8") as fh:
             data = dict(json.load(fh))
-        unknown = set(data) - {f.name for f in fields(Limits)}
+        unknown = set(data) - set(FIELDS)
         if unknown:
             raise ValueError(f"unknown limit fields {sorted(unknown)}")
-        return replace(limits, **{k: int(v) for k, v in data.items()})
+        return Limits(**{k: int(v) for k, v in data.items()})
     except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"{ENV_VAR} file {path}: {exc}") from None

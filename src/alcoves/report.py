@@ -10,7 +10,6 @@ to parse a big integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -23,12 +22,15 @@ def _stringify(value) -> str:
     return str(value)
 
 
-@dataclass
 class Check:
-    claim: str
-    status: str
-    witness: dict = field(default_factory=dict)
-    detail: str = ""
+    __slots__ = ("claim", "status", "witness", "detail")
+
+    def __init__(self, claim: str, status: str, witness: dict | None = None,
+                 detail: str = ""):
+        self.claim = claim
+        self.status = status
+        self.witness = {} if witness is None else witness
+        self.detail = detail
 
     def as_dict(self) -> dict:
         out = {
@@ -41,22 +43,22 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
-    suite: str
-    type_label: str = ""
-    params: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    def __init__(self, suite: str, type_label: str = "",
+                 params: dict | None = None):
+        self.suite = suite
+        self.type_label = type_label
+        self.params = {} if params is None else params
+        self.checks = []
 
     def add(self, claim: str, ok: bool, witness: dict | None = None,
             detail: str = "") -> Check:
-        check = Check(claim=claim, status=PASS if ok else FAIL,
-                      witness=witness or {}, detail=detail)
+        check = Check(claim, PASS if ok else FAIL, witness, detail)
         self.checks.append(check)
         return check
 
     def skip(self, claim: str, detail: str = "") -> Check:
-        check = Check(claim=claim, status=SKIP, detail=detail)
+        check = Check(claim, SKIP, detail=detail)
         self.checks.append(check)
         return check
 

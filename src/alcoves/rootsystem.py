@@ -17,7 +17,6 @@ Division happens only where a value is reported as a rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -85,35 +84,46 @@ def _cartan_matrix(family: str, rank: int):
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
-    """Immutable exact data for one simple type.
+class FrozenRecord:
+    """Fields named in `__slots__`, each set once by keyword; assigning or
+    deleting one afterwards raises.  Equality and hashing are by identity:
+    every record is built once per key by a cached constructor."""
 
-    Instances are cached per (family, rank); construction is deterministic,
-    so identity of the pair is identity of the data.
-    """
+    __slots__ = ()
 
-    family: str
-    rank: int
-    cartan: tuple
-    cartan_inv: tuple
-    positive_roots: tuple          # coordinate vectors in the simple-root basis
-    highest_root: int              # index of psi in positive_roots
-    sym: tuple                     # symmetrizers: sym_i * a_ij is symmetric
-    scale: int                     # h_dual * pair(psi, psi) / 2
-    h: int
-    h_dual: int
-    exponents: tuple
-    dim_g: int
-    two_rho: tuple                 # 2*rho in simple-root coordinates
-    _index: dict = field(repr=False, default=None)
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields.pop(name))
+        if fields:
+            raise TypeError(f"{type(self).__name__} has no fields {sorted(fields)}")
 
-    def __eq__(self, other):
-        return isinstance(other, RootSystem) and \
-            (self.family, self.rank) == (other.family, other.rank)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot change {name!r}")
 
-    def __hash__(self):
-        return hash((self.family, self.rank))
+    __delattr__ = __setattr__
+
+
+class RootSystem(FrozenRecord):
+    """Immutable exact data for one simple type, built once per
+    (family, rank) by `build_root_system`."""
+
+    __slots__ = (
+        "family", "rank", "cartan", "cartan_inv",
+        "positive_roots",   # coordinate vectors in the simple-root basis
+        "highest_root",     # index of psi in positive_roots
+        "sym",              # symmetrizers: sym_i * a_ij is symmetric
+        "scale",            # h_dual * pair(psi, psi) / 2
+        "h", "h_dual", "exponents", "dim_g",
+        "two_rho",          # 2*rho in simple-root coordinates
+        "_index",           # positive root -> its index
+    )
+
+    def __repr__(self):
+        return f"RootSystem({self.label!r})"
+
+    def __reduce__(self):  # unpickling returns the one record of the type
+        return build_root_system, (self.family, self.rank)
 
     # -- basic views ---------------------------------------------------
 
@@ -159,9 +169,6 @@ class RootSystem:
     def is_dominant_integral(self, weight) -> bool:
         return len(weight) == self.rank and \
             all(x == int(x) and x >= 0 for x in weight)
-
-    def in_root_lattice(self, weight) -> bool:
-        return all(c == int(c) for c in self.weight_to_root_coords(weight))
 
 
 def _pair(cartan, sym, x, y) -> int:
@@ -211,10 +218,14 @@ def _exponents(heights) -> tuple:
     return tuple(sorted(exponents))
 
 
-@lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the full exact root-system record for one simple type."""
-    family = family.upper()
+    """The full exact root-system record for one simple type, built once:
+    every spelling of a type gives the same record."""
+    return _build_root_system(family.upper(), rank)
+
+
+@lru_cache(maxsize=None)
+def _build_root_system(family: str, rank: int) -> RootSystem:
     if not _valid_type(family, rank):
         raise ValueError(f"not a valid simple type: {family}{rank}")
 

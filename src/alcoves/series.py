@@ -10,7 +10,7 @@ direct composition enumeration).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, isqrt, lcm
 
 # Largest k the exponential composition route of f_k is allowed to reach.
 DIRECT_MAX_K = 20
@@ -168,20 +168,16 @@ def f_poly(k: int) -> RatPoly:
     return RatPoly([Fraction(c, fact) for c in rows[k]])
 
 
-def _compositions(total: int, parts: int):
-    """Ordered tuples of positive integers with the given sum and length."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def f_poly_direct(k: int, max_k: int = DIRECT_MAX_K) -> RatPoly:
     """f_k(s) assembled term by term from ordered compositions of k.
 
-    Independent of the recurrence route; exponential in k, so guarded.
+    f_k(s) = sum_n (-s)^n / n! sum over compositions (m_1, ..., m_n) of k
+    of prod mu(m_i).  With L = lcm(1..k), each L mu(m) = sum_{d | m} L/d is
+    an integer, so the sums over compositions are integer sums scaled by
+    L^n, and each coefficient is one Fraction at the end.  A depth-first
+    walk by first part reaches every composition as one leaf, carrying the
+    product of its prefix.  Independent of the recurrence route;
+    exponential in k, so guarded.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -189,13 +185,21 @@ def f_poly_direct(k: int, max_k: int = DIRECT_MAX_K) -> RatPoly:
         raise ValueError(f"composition enumeration capped at k = {max_k}")
     if k == 0:
         return RatPoly([1])
-    mus = [None] + [mu(m) for m in range(1, k + 1)]
-    coeffs = [Fraction(0)] * (k + 1)
-    for n in range(1, k + 1):
-        q_kn = sum((prod(mus[m] for m in c) for c in _compositions(k, n)),
-                   Fraction(0))
-        coeffs[n] = q_kn * Fraction((-1) ** n, factorial(n))
-    return RatPoly(coeffs)
+    big = lcm(*range(1, k + 1))
+    scaled_mu = [0] + [sum(big // d for d in range(1, m + 1) if m % d == 0)
+                       for m in range(1, k + 1)]
+    sums = [0] * (k + 1)  # sums[n]: L^n times the sum over n-part compositions
+
+    def walk(left: int, parts: int, product: int) -> None:
+        if not left:
+            sums[parts] += product
+            return
+        for m in range(1, left + 1):
+            walk(left - m, parts + 1, product * scaled_mu[m])
+
+    walk(k, 0, 1)
+    return RatPoly([0] + [Fraction((-1) ** n * sums[n], factorial(n) * big ** n)
+                          for n in range(1, k + 1)])
 
 
 class BigradedTable:

@@ -2,26 +2,23 @@
 
 Each suite cross-checks one identity through at least two independently
 implemented routes and returns a deterministic Report.  Claims carry the
-values they compared as decimal-string witnesses.  The series, wedge and
-type-A modules are imported inside the suites that use them, so a suite
-compiles only what it runs.
+values they compared as decimal-string witnesses.  Every library module
+(root systems, alcoves, ideals, series, wedge, type A) is imported inside
+the suites that use it, so a suite compiles only what it runs: the series
+suites `roots-f234` and `euler-char` never compile `alcove` or `ideals`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from .alcove import (chi_at_type_rho, counts_by_length, enumerate_dominant,
-                     finite_part_length, ideal_chain, in_wf2,
-                     two_rho_pairing_killing)
-from .ideals import (_root_sum_weight, _wf2_by_nvec, dim_Ck,
-                     enumerate_abelian_ideals, ideal_to_sigma, is_abelian,
-                     is_ideal, max_abelian_dimension, sigma_to_ideal,
-                     verify_root_partition_bound, verify_subset_bound)
-from .limits import Limits
 from .report import Report
-from .rootsystem import RootSystem, parse_type, weyl_dimension
+
+if TYPE_CHECKING:
+    from .limits import Limits
+    from .rootsystem import RootSystem
 
 # Maximal abelian-subalgebra dimension for the three types where it stays
 # below the dual Coxeter number.
@@ -29,6 +26,8 @@ SMALL_MALCEV = {"A1": 1, "A2": 2, "G2": 3}
 
 
 def suite_peterson(rs: RootSystem, limits: Limits, **_) -> Report:
+    from .ideals import enumerate_abelian_ideals, max_abelian_dimension
+
     rep = Report(suite="peterson", type_label=rs.label)
     ideals = enumerate_abelian_ideals(rs)
     rep.add("abelian-ideal-count-is-2^rank", len(ideals) == 2 ** rs.rank,
@@ -51,6 +50,9 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
     dual Coxeter number: the signed series coefficient, the abelian-ideal
     dimension sum, the Casimir eigenspace dimension, the coboundary-ideal
     complement, and the bigraded alcove sum."""
+    from .alcove import enumerate_dominant
+    from .ideals import dim_Ck, enumerate_abelian_ideals
+    from .rootsystem import weyl_dimension
     from .series import euler_power
     from .wedge import (build_chevalley, casimir_eigenspace_dim,
                         dg_ideal_dim, verify_ideal_top_vectors)
@@ -81,6 +83,7 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
 
 
 def suite_bott(rs: RootSystem, limits: Limits, max_length: int = 12, **_) -> Report:
+    from .alcove import counts_by_length
     from .series import bott_series
 
     rep = Report(suite="bott", type_label=rs.label,
@@ -94,6 +97,7 @@ def suite_bott(rs: RootSystem, limits: Limits, max_length: int = 12, **_) -> Rep
 
 
 def suite_betti_ideals(rs: RootSystem, limits: Limits, **_) -> Report:
+    from .ideals import enumerate_abelian_ideals
     from .series import bott_series
 
     rep = Report(suite="betti-ideals", type_label=rs.label)
@@ -111,6 +115,8 @@ def suite_subset_bound(rs: RootSystem, limits: Limits,
     """Norm bound for arbitrary k-subsets of positive roots, equality
     exactly on abelian-ideal root sets.  Degrees whose subset count
     exceeds the configured ceiling are reported as skipped."""
+    from .ideals import verify_subset_bound
+
     kmax = rs.num_positive if kmax is None else min(kmax, rs.num_positive)
     rep = Report(suite="subset-bound", type_label=rs.label,
                  params={"kmax": kmax})
@@ -131,6 +137,8 @@ def suite_subset_bound(rs: RootSystem, limits: Limits,
 
 def suite_root_partitions(rs: RootSystem, limits: Limits,
                           cas_ceiling: int = 6, **_) -> Report:
+    from .ideals import verify_root_partition_bound
+
     rep = Report(suite="root-partitions", type_label=rs.label,
                  params={"cas_ceiling": cas_ceiling})
     res = verify_root_partition_bound(rs, cas_ceiling,
@@ -149,6 +157,9 @@ def suite_ideal_chains(rs: RootSystem, limits: Limits,
                        max_length: int = 6, **_) -> Report:
     """Wall-count level sets of each alcove form a chain of ideals whose
     sums reconstruct the alcove weight, topped by an abelian ideal."""
+    from .alcove import enumerate_dominant, ideal_chain
+    from .ideals import _root_sum_weight, is_abelian, is_ideal
+
     rep = Report(suite="ideal-chains", type_label=rs.label,
                  params={"max_length": max_length})
     elements = enumerate_dominant(rs, max_length)
@@ -185,6 +196,9 @@ def suite_ideal_chains(rs: RootSystem, limits: Limits,
 
 def suite_parity(rs: RootSystem, limits: Limits,
                  max_length: int = 8, **_) -> Report:
+    from .alcove import (enumerate_dominant, finite_part_length,
+                         two_rho_pairing_killing)
+
     rep = Report(suite="parity", type_label=rs.label,
                  params={"max_length": max_length})
     elements = enumerate_dominant(rs, max_length)
@@ -203,6 +217,8 @@ def suite_gap(rs: RootSystem, limits: Limits,
               max_length: int | None = None, **_) -> Report:
     """Alcoves outside twice the fundamental alcove are at least h_dual
     long; Casimir at most h_dual forces membership."""
+    from .alcove import enumerate_dominant, in_wf2
+
     max_length = max_length if max_length is not None else rs.h_dual + 3
     rep = Report(suite="gap", type_label=rs.label,
                  params={"max_length": max_length})
@@ -268,6 +284,8 @@ def suite_roots_f234(limits: Limits, kmax: int = 12, **_) -> Report:
 def suite_interpolation(limits: Limits, **_) -> Report:
     """Each f_k is pinned down by k special-linear dimension sums at the
     points m^2 - 1, together with the root at zero."""
+    from .ideals import dim_Ck
+    from .rootsystem import parse_type
     from .series import f_poly
 
     rep = Report(suite="interpolation")
@@ -364,6 +382,8 @@ def suite_sign(rs: RootSystem, limits: Limits, max_length: int = 8,
                cas_ceiling: int | None = None, **_) -> Report:
     """Character values at an element of type rho: length parity on alcove
     weights, zero on every other dominant weight below the ceiling."""
+    from .alcove import chi_at_type_rho, enumerate_dominant
+
     rep = Report(suite="sign", type_label=rs.label,
                  params={"max_length": max_length,
                          "cas_ceiling": cas_ceiling if cas_ceiling is not None else ""})
@@ -387,6 +407,9 @@ def suite_bijection(rs: RootSystem, limits: Limits, **_) -> Report:
     """Round trip between abelian ideals and alcoves in twice the
     fundamental alcove, with lengths matching ideal sizes; the alcoves
     built by affine reflections equal those the alcove BFS finds."""
+    from .ideals import (_wf2_by_nvec, enumerate_abelian_ideals,
+                         ideal_to_sigma, sigma_to_ideal)
+
     rep = Report(suite="bijection", type_label=rs.label)
     ideals = enumerate_abelian_ideals(rs)
     by_nvec = _wf2_by_nvec(rs)
@@ -434,5 +457,7 @@ def run_suite(name: str, type_label: str | None, limits: Limits,
     if needs_type:
         if not type_label:
             raise ValueError(f"suite {name!r} requires a type label")
+        from .rootsystem import parse_type
+
         return fn(parse_type(type_label), limits, **params)
     return fn(limits, **params)

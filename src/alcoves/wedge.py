@@ -33,7 +33,6 @@ fraction-free elimination (`linalg.exact_rank`) on {column: value} rows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -41,24 +40,25 @@ from math import comb, lcm
 
 from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
-from .rootsystem import RootSystem, casimir_eigenvalue, weyl_orbit_size
+from .rootsystem import (FrozenRecord, RootSystem, casimir_eigenvalue,
+                         weyl_orbit_size)
 
 
-@dataclass(frozen=True, eq=False)
-class LieAlgebraTable:
+class LieAlgebraTable(FrozenRecord):
     """Chevalley basis data: index 0..2m-1 are root vectors (positives
     first, then the matching negatives), the last `rank` entries are the
     simple coroots."""
 
-    rs: RootSystem
-    dim: int
-    brackets: tuple          # brackets[a][b] = ((idx, coeff), ...)
-    weights: tuple           # Cartan weight of each basis vector (fund coords)
-    dual: tuple              # D times the Killing dual of x_j: ((idx, coeff), ...)
-    killing_den: int         # D, the common denominator of the dual basis
+    __slots__ = (
+        "rs", "dim",
+        "brackets",      # brackets[a][b] = ((idx, coeff), ...)
+        "weights",       # Cartan weight of each basis vector (fund coords)
+        "dual",          # D times the Killing dual of x_j: ((idx, coeff), ...)
+        "killing_den",   # D, the common denominator of the dual basis
+    )
 
-    def bracket(self, a: int, b: int):
-        return self.brackets[a][b]
+    def __reduce__(self):  # unpickling returns the one table of the type
+        return _chevalley_table, (self.rs,)
 
     def root_vector(self, root_idx: int, negative: bool = False) -> int:
         return root_idx + (self.rs.num_positive if negative else 0)

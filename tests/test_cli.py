@@ -384,9 +384,40 @@ def test_limits_loading(tmp_path, monkeypatch):
     config.write_text('{"max_length": 10}')
     monkeypatch.setenv("ALCOVES_LIMITS", str(config))
     assert load_limits().max_length == 10
+    assert load_limits() == Limits(max_length=10) != Limits()
     config.write_text('{"bogus": 1}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown limit fields"):
         load_limits()
+
+
+def test_limits_defaults_are_class_attributes():
+    assert Limits.max_length == Limits().max_length == 64
+    assert Limits(max_length=10).max_order == Limits.max_order
+    big = Limits(max_rank=3).embiggen()
+    assert (big.max_rank, big.chevalley_dim) == (300, 1400)
+    assert hash(Limits(max_rank=8)) == hash(Limits())
+    with pytest.raises(TypeError):
+        Limits(bogus=1)
+
+
+def test_value_records_refuse_assignment():
+    from alcoves.alcove import enumerate_dominant
+    from alcoves.ideals import enumerate_abelian_ideals
+    from alcoves.rootsystem import parse_type
+    from alcoves.wedge import build_chevalley
+
+    rs = parse_type("A2")
+    records = [(enumerate_dominant(rs, 2)[-1], "cas"),
+               (enumerate_abelian_ideals(rs)[-1], "lam"),
+               (Limits(), "max_length"), (rs, "rank"),
+               (build_chevalley(rs), "dim")]
+    for record, name in records:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == before
 
 
 def test_allow_big_escape_hatch(capsys):
@@ -395,11 +426,11 @@ def test_allow_big_escape_hatch(capsys):
     assert code == 0
 
 
-def loaded_modules(code: str) -> set:
-    """The alcoves modules loaded after running `code` in a fresh
-    interpreter."""
+def loaded_modules(code: str, also=()) -> set:
+    """The alcoves modules, and those of the names in `also` that are
+    loaded, after running `code` in a fresh interpreter."""
     probe = code + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules " \
-        "if m == 'alcoves' or m.startswith('alcoves.'))))"
+        f"if m == 'alcoves' or m.startswith('alcoves.') or m in {set(also)!r})))"
     import alcoves
     src = str(Path(alcoves.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -409,15 +440,42 @@ def loaded_modules(code: str) -> set:
     return set(proc.stdout.split())
 
 
+def run_commands(*argvs) -> str:
+    """Probe code that runs each argv through the CLI, asserting exit 0."""
+    return "import contextlib, io\nfrom alcoves.cli import main\n" + "".join(
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n" for argv in argvs)
+
+
 def test_importing_the_cli_loads_no_library_module():
     assert loaded_modules("import alcoves.cli") == {"alcoves", "alcoves.cli"}
 
 
+def test_no_benchmark_job_loads_dataclasses_or_inspect():
+    """`dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
+    execs the methods of each class it decorates, at every start-up."""
+    import runpy
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] /
+                                   "bench" / "workloads.py"))
+    jobs = [argv for argvs in workloads["CLI_JOBS"].values() for argv in argvs]
+    assert len(jobs) == 13
+    loaded = loaded_modules(run_commands(*jobs), also=("dataclasses", "inspect"))
+    assert {"alcoves.alcove", "alcoves.wedge"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "roots-f234", "--kmax", "12"),
+    ("verify", "--suite", "euler-char", "--type", "E8", "--kmax", "12"),
+])
+def test_series_suites_load_no_alcove_or_ideal_module(argv):
+    loaded = loaded_modules(run_commands(argv))
+    assert "alcoves.series" in loaded
+    assert not loaded & {"alcoves.alcove", "alcoves.ideals"}
+
+
 def test_ideals_command_loads_only_what_it_runs():
-    loaded = loaded_modules(
-        "import contextlib, io\nfrom alcoves.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['ideals', '--type', 'E6']) == 0")
+    loaded = loaded_modules(run_commands(("ideals", "--type", "E6")))
     assert "alcoves.ideals" in loaded
     assert not loaded & {"alcoves.wedge", "alcoves.series", "alcoves.suites",
                          "alcoves.typea"}

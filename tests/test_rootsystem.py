@@ -1,5 +1,6 @@
 """Root-system construction and the integer inner product."""
 
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -9,6 +10,7 @@ import pytest
 from alcoves.rootsystem import (build_root_system, casimir_eigenvalue,
                                 heisenberg_count, parse_type, weyl_dimension)
 from alcoves.suites import _dominant_weights_with_cas_bound
+from alcoves.wedge import build_chevalley
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "C2", "B3", "C3",
              "D4", "D5", "G2", "F4", "E6"]
@@ -148,6 +150,17 @@ def test_heisenberg_matches_dual_coxeter(label):
     assert heisenberg_count(rs) == rs.h_dual - 2
 
 
+def test_one_record_per_type():
+    # Records compare by identity, so each type must be built only once.
+    assert build_root_system("a", 2) is build_root_system("A", 2) \
+        is parse_type("a2")
+    assert build_root_system("A", 2) != build_root_system("A", 3)
+    rs = parse_type("G2")
+    table = build_chevalley(rs)
+    assert pickle.loads(pickle.dumps(rs)) is rs
+    assert pickle.loads(pickle.dumps(table)) is table
+
+
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_coordinate_round_trip(label):
     rs = parse_type(label)
@@ -155,7 +168,7 @@ def test_coordinate_round_trip(label):
         w = rs.root_coords_to_weight(phi)
         back = rs.weight_to_root_coords(w)
         assert tuple(back) == tuple(phi)
-        assert rs.in_root_lattice(w)
+        assert all(c.denominator == 1 for c in back)
 
 
 @pytest.mark.parametrize("label,ceiling", [("A2", 12), ("B2", 10), ("G2", 8),

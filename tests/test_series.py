@@ -16,10 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alcoves.rootsystem import parse_type
-from alcoves.series import (IntSeries, RatPoly, _scaled_fk_rows,
-                            alcove_coefficient_series, bigraded_dims,
-                            bott_series, euler_power, f_poly, f_poly_direct,
-                            lehmer_probe, mu)
+from alcoves.series import (DIRECT_MAX_K, IntSeries, RatPoly,
+                            _scaled_fk_rows, alcove_coefficient_series,
+                            bigraded_dims, bott_series, euler_power, f_poly,
+                            f_poly_direct, lehmer_probe, mu)
 
 
 def dense_mul(a, b, order):
@@ -183,9 +183,19 @@ def test_f_poly_roots():
         assert f_poly(k).degree == k
 
 
-@pytest.mark.parametrize("k", range(16))
+@pytest.mark.parametrize("k", range(DIRECT_MAX_K + 1))
 def test_f_poly_routes_agree(k):
     assert f_poly(k) == f_poly_direct(k)
+
+
+def test_composition_route_sums_integers(count_fractions):
+    """2^11 = 2048 compositions of 12, but O(k) Fractions: the sums over
+    compositions are integer, with one Fraction per coefficient."""
+    k = 12
+    with count_fractions() as created:
+        poly = f_poly_direct(k)
+    assert poly == f_poly(k)
+    assert len(created) <= 2 * (k + 1), len(created)
 
 
 def test_f_poly_direct_guard():

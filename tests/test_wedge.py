@@ -158,17 +158,17 @@ def test_antisymmetry_of_brackets():
     table = build_chevalley(parse_type("B2"))
     for a in range(table.dim):
         for b in range(table.dim):
-            forward = dict(table.bracket(a, b))
-            backward = dict(table.bracket(b, a))
+            forward = dict(table.brackets[a][b])
+            backward = dict(table.brackets[b][a])
             assert forward == {i: -c for i, c in backward.items()}
 
 
 def test_a1_table_by_hand():
     table = build_chevalley(parse_type("A1"))
     e, f, h = 0, 1, 2
-    assert dict(table.bracket(e, f)) == {h: 1}
-    assert dict(table.bracket(h, e)) == {e: 2}
-    assert dict(table.bracket(h, f)) == {f: -2}
+    assert dict(table.brackets[e][f]) == {h: 1}
+    assert dict(table.brackets[h][e]) == {e: 2}
+    assert dict(table.brackets[h][f]) == {f: -2}
 
 
 def trace_form(table):
@@ -179,7 +179,7 @@ def trace_form(table):
     for a in range(dim):
         mat = [[0] * dim for _ in range(dim)]
         for b in range(dim):
-            for i, c in table.bracket(a, b):
+            for i, c in table.brackets[a][b]:
                 mat[i][b] += c
         ad.append(mat)
     return [[sum(ad[a][i][j] * ad[b][j][i] for i in range(dim)
@@ -263,7 +263,7 @@ def rational_coboundary(table, u):
     acc = {}
     for j in range(table.dim):
         for k in range(table.dim):
-            for i, c in table.bracket(k, u):
+            for i, c in table.brackets[k][u]:
                 if i != j:
                     key, sign = ((j, i), 1) if j < i else ((i, j), -1)
                     acc[key] = acc.get(key, 0) + \
