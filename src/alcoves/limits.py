@@ -19,7 +19,7 @@ class Limits:
     so that a default argument can read `Limits.<field>`; an instance
     stores only the fields given to it by keyword."""
 
-    subset_candidates: int = 2_000_000      # k-subset sweeps (roots, wedge bases)
+    subset_candidates: int = 2_000_000      # k-subset sweeps (positive-root subsets)
     partition_candidates: int = 2_000_000   # root-partition and core sweeps
     chevalley_dim: int = 14                 # largest algebra built as a table
     wedge_matrix: int = 3432                # dominant-block rows per wedge degree

@@ -324,6 +324,34 @@ def casimir_eigenvalue(rs: RootSystem, weight) -> Fraction:
     return Fraction(num, 2 * rs.scale)
 
 
+def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int):
+    """All dominant integral weights with Casimir eigenvalue <= ceiling.
+
+    The eigenvalue is monotone in every coordinate, so a coordinate scan
+    with early exit is exhaustive.  With `cartan_inv` cleared by its
+    common denominator d, d times the numerator of `casimir_eigenvalue`
+    is the integer w.Q.w + L.w, compared with d * ceiling * 2 * scale."""
+    d = lcm(*(x.denominator for row in rs.cartan_inv for x in row))
+    form = [[s * int(x * d) for x in row] for s, row in zip(rs.sym, rs.cartan_inv)]
+    coords = [0] * rs.rank
+    out = []
+
+    def rec(i: int, num: int):  # num: d times the numerator of coords[:i]
+        if i == rs.rank:
+            out.append(tuple(coords))
+            return
+        step = d * rs.sym[i] * rs.two_rho[i] + sum(
+            (form[i][j] + form[j][i]) * coords[j] for j in range(i))
+        while num <= d * ceiling * 2 * rs.scale:  # num of coords[:i + 1]
+            rec(i + 1, num)
+            num += step + form[i][i] * (2 * coords[i] + 1)
+            coords[i] += 1
+        coords[i] = 0
+
+    rec(0, 0)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _parabolic_order(rs: RootSystem, subset: frozenset) -> int:
     """|W_J| for the simple roots J = `subset`: the product of

@@ -62,11 +62,6 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
     series = euler_power(rs.dim_g, rs.h_dual)
     doms = enumerate_dominant(rs, rs.h_dual)
     for k in range(rs.h_dual + 1):
-        if comb(rs.dim_g, k) > limits.subset_candidates:
-            raise ValueError(
-                f"wedge degree {k} sweeps {comb(rs.dim_g, k)} subsets, over "
-                f"the subset_candidates ceiling {limits.subset_candidates}; "
-                "raise it explicitly")
         legs = {
             "series": (-1) ** k * series[k],
             "ideal_sum": dim_Ck(rs, k),
@@ -349,40 +344,12 @@ def suite_mcore(limits: Limits, m: int = 3, kmax: int = 3,
     return rep
 
 
-def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int):
-    """All dominant integral weights with Casimir eigenvalue <= ceiling.
-
-    The eigenvalue is monotone in every coordinate, so a coordinate scan
-    with early exit is exhaustive; each weight it yields passed the test
-    with every coordinate set."""
-    from .rootsystem import casimir_eigenvalue
-
-    coords = [0] * rs.rank
-    out = []
-
-    def rec(i: int):
-        if i == rs.rank:
-            out.append(tuple(coords))
-            return
-        v = 0
-        while True:
-            coords[i] = v
-            if casimir_eigenvalue(rs, tuple(coords[:i + 1]) +
-                                  (0,) * (rs.rank - i - 1)) > ceiling:
-                break
-            rec(i + 1)
-            v += 1
-        coords[i] = 0
-
-    rec(0)
-    return out
-
-
 def suite_sign(rs: RootSystem, limits: Limits, max_length: int = 8,
                cas_ceiling: int | None = None, **_) -> Report:
     """Character values at an element of type rho: length parity on alcove
     weights, zero on every other dominant weight below the ceiling."""
     from .alcove import chi_at_type_rho, enumerate_dominant
+    from .rootsystem import _dominant_weights_with_cas_bound
 
     rep = Report(suite="sign", type_label=rs.label,
                  params={"max_length": max_length,

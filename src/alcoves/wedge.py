@@ -25,6 +25,8 @@ and each counts times the size |W| / |W_J| of its weight's orbit; those
 must add up to the whole wedge power.  `_dominant_blocks` is the one
 enumerator of wedge basis subsets and the block source of every oracle;
 it refuses a degree at the first dominant row over `Limits.wedge_matrix`.
+Its subsets come from a walk in index order that drops a branch once no
+choice of the remaining picks can make the weight sum dominant.
 Coboundary generators w wedge d(u) come from the same blocks: w is a
 block subset with two slots removed.  Ranks come from sparse
 fraction-free elimination (`linalg.exact_rank`) on {column: value} rows.
@@ -35,8 +37,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, lcm
+from operator import add
 
 from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
@@ -387,36 +390,52 @@ def _wedge_replace2(subset, s, t, c, d):
     return (-1 if odd else 1), key
 
 
-def _weight_of_subset(table: LieAlgebraTable, subset):
-    l = table.rs.rank
-    out = [0] * l
-    for a in subset:
-        w = table.weights[a]
-        for i in range(l):
-            out[i] += w[i]
-    return tuple(out)
+def _dominant_subsets(weights, k: int):
+    """The k-subsets of range(len(weights)) whose weight sum is dominant,
+    as (subset, sum) in `combinations` order: a depth-first walk in index
+    order that carries the partial sum.  No r-subset of weights[b:] sums
+    to more, in any coordinate, than the r largest values of that
+    coordinate there (top[b][r]).  So child a, with r picks left after
+    it, is skipped when acc + weights[a] + top[a + 1][r] has a negative
+    coordinate; at r = 0 that is the dominance test itself."""
+    n, rank = len(weights), len(weights[0])
+    top = [tuple(zip(*(accumulate(sorted((w[i] for w in weights[b:]),
+                                         reverse=True)[:k], initial=0)
+                       for i in range(rank)))) for b in range(n + 1)]
+    need = [[tuple(map(add, weights[a], top[a + 1][r])) for a in range(n - r)]
+            for r in range(k)]
+
+    def extend(start, prefix, acc):
+        r = k - 1 - len(prefix)
+        if r < 0:
+            yield prefix, acc
+            return
+        bound = need[r]
+        for a in range(start, n - r):
+            if min(map(add, acc, bound[a])) >= 0:
+                yield from extend(a + 1, prefix + (a,),
+                                  tuple(map(add, acc, weights[a])))
+
+    return extend(0, (), (0,) * rank)
 
 
 def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
     """The weight blocks of the k-th wedge power whose weight is dominant,
     as {weight: (orbit size, block)}: the one place where wedge basis
-    subsets are enumerated.  Their total size, the rows every wedge
-    oracle builds, must not exceed `matrix_ceiling`; the sweep stops at
-    the first row over it.  Weight multiplicities are W-invariant, so
-    these blocks times their orbit sizes must fill the whole wedge power;
-    that count is checked here."""
+    subsets are enumerated, by `_dominant_subsets`.  Their total size,
+    the rows every wedge oracle builds, must not exceed `matrix_ceiling`;
+    the walk stops at the first row over it.  Weight multiplicities are
+    W-invariant, so these blocks times their orbit sizes must fill the
+    whole wedge power: this check proves the pruned walk complete."""
     blocks = {}
-    rows = 0
-    for subset in combinations(range(table.dim), k):
-        weight = _weight_of_subset(table, subset)
-        if min(weight) >= 0:
-            blocks.setdefault(weight, []).append(subset)
-            rows += 1
-            if rows > matrix_ceiling:
-                raise ValueError(
-                    f"wedge degree {k} has more dominant-block rows than "
-                    f"the wedge_matrix ceiling {matrix_ceiling}; "
-                    "raise it explicitly")
+    for rows, (subset, weight) in enumerate(
+            _dominant_subsets(table.weights, k), 1):
+        if rows > matrix_ceiling:
+            raise ValueError(
+                f"wedge degree {k} has more dominant-block rows than "
+                f"the wedge_matrix ceiling {matrix_ceiling}; "
+                "raise it explicitly")
+        blocks.setdefault(weight, []).append(subset)
     out = {weight: (weyl_orbit_size(table.rs, weight), block)
            for weight, block in blocks.items()}
     if sum(orbit * len(block) for orbit, block in out.values()) != \

@@ -188,11 +188,6 @@ SIZE_ERRORS = [
                  {"wedge_matrix": 100},
                  ["degree 4", "dominant-block rows", "wedge_matrix ceiling 100"],
                  id="seven-numbers-over-wedge-matrix"),
-    # B3's wedge degree 4 spans C(21, 4) = 5985 subsets.
-    pytest.param(["verify", "--suite", "seven-numbers", "--type", "B3"],
-                 {"chevalley_dim": 21, "subset_candidates": 5000},
-                 ["degree 4", "5985 subsets", "subset_candidates ceiling 5000"],
-                 id="seven-numbers-over-subset-candidates"),
     # A2 has 26 positive-root partitions of triangular cost <= 6.
     pytest.param(["verify", "--suite", "root-partitions", "--type", "A2",
                   "--cas-ceiling", "6"], {"partition_candidates": 3},
@@ -225,6 +220,18 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+def test_seven_numbers_ignores_subset_candidates(capsys, monkeypatch, tmp_path):
+    # The wedge blocks come from a pruned walk, not a C(dim g, k) sweep,
+    # so the positive-root subset ceiling does not bound them.
+    code, expected, _ = run_cli(capsys, "verify", "--suite", "seven-numbers",
+                                "--type", "G2")
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps({"subset_candidates": 1}))
+    monkeypatch.setenv("ALCOVES_LIMITS", str(path))
+    assert run_cli(capsys, "verify", "--suite", "seven-numbers",
+                   "--type", "G2") == (0, expected, "")
 
 
 def test_mcore_refuses_before_any_core(capsys, monkeypatch):

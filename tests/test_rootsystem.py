@@ -7,9 +7,9 @@ from math import gcd
 
 import pytest
 
-from alcoves.rootsystem import (build_root_system, casimir_eigenvalue,
+from alcoves.rootsystem import (_dominant_weights_with_cas_bound,
+                                build_root_system, casimir_eigenvalue,
                                 heisenberg_count, parse_type, weyl_dimension)
-from alcoves.suites import _dominant_weights_with_cas_bound
 from alcoves.wedge import build_chevalley
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "C2", "B3", "C3",
@@ -185,3 +185,30 @@ def test_cas_bounded_dominant_weights_match_a_box_scan(label, ceiling):
         assert casimir_eigenvalue(rs, corner) > ceiling
     assert set(got) == {w for w in product(range(edge), repeat=rs.rank)
                         if casimir_eigenvalue(rs, w) <= ceiling}
+
+
+@pytest.mark.parametrize("label,ceiling", [("F4", 9), ("E6", 6), ("E7", 5)])
+def test_cas_bounded_dominant_weights_are_closed_under_raising(label, ceiling):
+    """Every weight under the ceiling is reached from 0 by unit steps that
+    stay under it, since the Casimir grows in every coordinate; so the
+    list is complete when each of its weights is under the ceiling and
+    each unit step up from one is either listed or over the ceiling."""
+    rs = parse_type(label)
+    got = _dominant_weights_with_cas_bound(rs, ceiling)
+    listed = set(got)
+    assert (0,) * rs.rank in listed
+    for w in got:
+        assert casimir_eigenvalue(rs, w) <= ceiling
+        for i in range(rs.rank):
+            up = w[:i] + (w[i] + 1,) + w[i + 1:]
+            assert up in listed or casimir_eigenvalue(rs, up) > ceiling
+
+
+def test_cas_bounded_dominant_weights_probe_in_integers(count_fractions):
+    """E8 up to its dual Coxeter number: the 16843 weights take tens of
+    thousands of probes, and only clearing `cartan_inv` makes Fractions."""
+    rs = parse_type("E8")
+    with count_fractions() as created:
+        got = _dominant_weights_with_cas_bound(rs, rs.h_dual)
+    assert len(got) == len(set(got)) == 16843
+    assert len(created) <= rs.rank ** 2, len(created)

@@ -15,9 +15,9 @@ from alcoves.rootsystem import parse_type, weyl_orbit_size
 from alcoves.series import euler_power
 from alcoves.wedge import (_apply_casimir, _chevalley_table,
                            _coboundary_images, _dominant_blocks,
-                           _has_highest_weight_vector, _killing_dual,
-                           _theta_single, _wedge_replace1,
-                           _wedge_replace2, _weight_of_subset, build_chevalley,
+                           _dominant_subsets, _has_highest_weight_vector,
+                           _killing_dual, _theta_single, _wedge_replace1,
+                           _wedge_replace2, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
 
@@ -38,6 +38,14 @@ def _wedge_normalize(indices):
         if j > 0 and idx[j - 1] == idx[j]:
             return None
     return sign, tuple(idx)
+
+
+def _weight_of_subset(table, subset):
+    out = [0] * table.rs.rank
+    for a in subset:
+        for i, x in enumerate(table.weights[a]):
+            out[i] += x
+    return tuple(out)
 
 
 def weight_blocks(table, k):
@@ -338,22 +346,56 @@ def test_matrix_ceiling_guard():
 
 def test_row_ceiling_stops_the_sweep(monkeypatch):
     """F4 has 305999 dominant rows among the C(52, 6) = 20358520 subsets
-    of degree 6; the sweep stops at the first row over the ceiling,
-    150121 subsets in."""
+    of degree 6; the walk yields only dominant subsets and stops at the
+    first row over the ceiling (a full sweep reaches it 150121 subsets
+    in)."""
     table = build_chevalley(parse_type("F4"), dim_ceiling=52)
-    swept = []
-    monkeypatch.setattr("alcoves.wedge._weight_of_subset",
-                        lambda t, s: swept.append(s) or _weight_of_subset(t, s))
+    walked = []
+
+    def counted(weights, k):
+        for subset, weight in _dominant_subsets(weights, k):
+            walked.append(subset)
+            yield subset, weight
+
+    monkeypatch.setattr("alcoves.wedge._dominant_subsets", counted)
     with pytest.raises(ValueError, match="wedge_matrix ceiling 3432"):
         casimir_eigenspace_dim(table, 6)
-    assert len(swept) == 150121
-    assert sum(min(_weight_of_subset(table, s)) >= 0 for s in swept) == 3433
+    assert len(walked) == 3433
+    assert all(min(_weight_of_subset(table, s)) >= 0 for s in walked)
     # With room for every row, the blocks are the full sweep's dominant ones.
     table = build_chevalley(parse_type("G2"))
     blocks = _dominant_blocks(table, 4, 184)
     assert {w: block for w, (_, block) in blocks.items()} == \
         {w: block for w, block in weight_blocks(table, 4).items()
          if min(w) >= 0}
+
+
+@given(st.integers(1, 3).flatmap(lambda rank: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=10)),
+    st.integers(0, 6))
+def test_dominant_subsets_are_the_filtered_sweep(weights, k):
+    """The pruned walk yields exactly the k-subsets of dominant sum, with
+    their sums, in `combinations` order."""
+    rank = len(weights[0])
+    sums = ((s, tuple(sum(weights[a][i] for a in s) for i in range(rank)))
+            for s in combinations(range(len(weights)), k))
+    assert list(_dominant_subsets(weights, k)) == \
+        [(s, w) for s, w in sums if min(w) >= 0]
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["A3", "B3", "C3", "D4"])
+def test_dominant_blocks_are_the_dominant_part_of_the_sweep(label):
+    """Same weights in the same order, orbit sizes counted by reflections,
+    and every block the same ordered list as the full sweep's; D4 in its
+    top degree only."""
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    for k in [6] if label == "D4" else range(rs.h_dual + 1):
+        got = _dominant_blocks(table, k, comb(rs.dim_g, k))
+        expected = [(w, (len(orbit_by_reflections(rs, w)), block))
+                    for w, block in weight_blocks(table, k).items()
+                    if min(w) >= 0]
+        assert list(got.items()) == expected
 
 
 @pytest.mark.parametrize("label", TABLE_TYPES)
