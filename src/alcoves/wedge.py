@@ -269,32 +269,19 @@ def _killing_dual(brackets, m: int, l: int):
                   for row in block]), den
 
 
-def _bracket_expand(table: LieAlgebraTable, terms_a, terms_b):
-    """Bracket of two vectors given as sparse (index, coeff) lists."""
-    out = {}
-    for ia, ca in terms_a:
-        row = table.brackets[ia]
-        for ib, cb in terms_b:
-            for i, c in row[ib]:
-                out[i] = out.get(i, 0) + ca * cb * c
-    return tuple((i, c) for i, c in out.items() if c != 0)
-
-
 def _verify_jacobi(table: LieAlgebraTable) -> None:
-    dim = table.dim
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            ab = table.brackets[a][b]
-            for c in range(b + 1, dim):
-                acc = {}
-                for i, v in _bracket_expand(table, ab, ((c, 1),)):
-                    acc[i] = acc.get(i, 0) + v
-                for i, v in _bracket_expand(table, table.brackets[b][c], ((a, 1),)):
-                    acc[i] = acc.get(i, 0) + v
-                for i, v in _bracket_expand(table, table.brackets[c][a], ((b, 1),)):
-                    acc[i] = acc.get(i, 0) + v
-                if any(acc.values()):
-                    raise AssertionError(f"Jacobi fails on triple {(a, b, c)}")
+    """For each basis triple a < b < c, sums v * w by j over (i, v) in
+    brackets[x][y] and (j, w) in brackets[i][z] for the cyclic turns
+    (x, y, z) of (a, b, c): the Jacobi identity says every sum is 0."""
+    brackets = table.brackets
+    for a, b, c in combinations(range(table.dim), 3):
+        acc = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for i, v in brackets[x][y]:
+                for j, w in brackets[i][z]:
+                    acc[j] = acc.get(j, 0) + v * w
+        if any(acc.values()):
+            raise AssertionError(f"Jacobi fails on triple {(a, b, c)}")
 
 
 @lru_cache(maxsize=None)
@@ -419,6 +406,7 @@ def _dominant_subsets(weights, k: int):
     return extend(0, (), (0,) * rank)
 
 
+@lru_cache(maxsize=1)
 def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
     """The weight blocks of the k-th wedge power whose weight is dominant,
     as {weight: (orbit size, block)}: the one place where wedge basis
@@ -426,7 +414,9 @@ def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
     the rows every wedge oracle builds, must not exceed `matrix_ceiling`;
     the walk stops at the first row over it.  Weight multiplicities are
     W-invariant, so these blocks times their orbit sizes must fill the
-    whole wedge power: this check proves the pruned walk complete."""
+    whole wedge power: this check proves the pruned walk complete.  The
+    last result is kept for the next oracle of the same degree; callers
+    must not mutate it.  A refusal raises, so it is never kept."""
     blocks = {}
     for rows, (subset, weight) in enumerate(
             _dominant_subsets(table.weights, k), 1):

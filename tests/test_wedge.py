@@ -10,14 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alcoves.ideals import dim_Ck, enumerate_abelian_ideals, max_abelian_dimension
+from alcoves.limits import Limits
 from alcoves.linalg import exact_rank, invert_rational, nullity
 from alcoves.rootsystem import parse_type, weyl_orbit_size
 from alcoves.series import euler_power
-from alcoves.wedge import (_apply_casimir, _chevalley_table,
+from alcoves.suites import run_suite
+from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _chevalley_table,
                            _coboundary_images, _dominant_blocks,
                            _dominant_subsets, _has_highest_weight_vector,
-                           _killing_dual, _theta_single, _wedge_replace1,
-                           _wedge_replace2, build_chevalley,
+                           _killing_dual, _theta_single, _verify_jacobi,
+                           _wedge_replace1, _wedge_replace2, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
 
@@ -154,12 +156,38 @@ def test_sparse_exact_rank_matches_rational_elimination(rows):
     assert rational_rank(fractions) == exact_rank(fractions)
 
 
-@pytest.mark.parametrize("label", TABLE_TYPES)
+@pytest.mark.parametrize("label", TABLE_TYPES + ["F4", "E6", "E7"])
 def test_build_verifies_itself(label):
     # Build runs the full Jacobi sweep, the Killing nondegeneracy check,
     # and the Casimir identity; reaching here means they all passed.
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    assert table.dim == rs.dim_g
+
+
+@pytest.mark.parametrize("label", ["G2", "B2"])
+def test_jacobi_sweep_catches_a_flipped_constant(label):
+    """A copy of the table with the first mixed-sign constant N(alpha,
+    -beta) negated, in both [x_a, x_b] and [x_b, x_a], fails the sweep;
+    the copy without the flip passes.  Mixed-sign pairs are never
+    extraspecial, so this sign is no free choice of the convention."""
     table = build_chevalley(parse_type(label))
-    assert table.dim == table.rs.dim_g
+    m = table.rs.num_positive
+    a, b = next((a, b) for a in range(m) for b in range(m, 2 * m)
+                if any(i < 2 * m for i, _ in table.brackets[a][b]))
+
+    def copy(flip):
+        brackets = [list(row) for row in table.brackets]
+        for x, y in ((a, b), (b, a)) if flip else ():
+            brackets[x][y] = tuple((i, -c) for i, c in brackets[x][y])
+        return LieAlgebraTable(
+            rs=table.rs, dim=table.dim, brackets=tuple(map(tuple, brackets)),
+            weights=table.weights, dual=table.dual,
+            killing_den=table.killing_den)
+
+    _verify_jacobi(copy(False))
+    with pytest.raises(AssertionError, match="Jacobi fails on triple"):
+        _verify_jacobi(copy(True))
 
 
 def test_antisymmetry_of_brackets():
@@ -350,6 +378,7 @@ def test_row_ceiling_stops_the_sweep(monkeypatch):
     first row over the ceiling (a full sweep reaches it 150121 subsets
     in)."""
     table = build_chevalley(parse_type("F4"), dim_ceiling=52)
+    _dominant_blocks.cache_clear()
     walked = []
 
     def counted(weights, k):
@@ -368,6 +397,24 @@ def test_row_ceiling_stops_the_sweep(monkeypatch):
     assert {w: block for w, (_, block) in blocks.items()} == \
         {w: block for w, block in weight_blocks(table, 4).items()
          if min(w) >= 0}
+
+
+def test_seven_numbers_walks_each_degree_once(monkeypatch):
+    """The eigenspace and coboundary legs of one degree share one kept
+    walk, and only the last degree's blocks stay: h_dual + 1 walks on G2,
+    one per degree."""
+    walks = []
+
+    def counted(weights, k):
+        walks.append(k)
+        return _dominant_subsets(weights, k)
+
+    _dominant_blocks.cache_clear()
+    monkeypatch.setattr("alcoves.wedge._dominant_subsets", counted)
+    report = run_suite("seven-numbers", "G2", Limits())
+    assert report.failed == 0
+    assert walks == [0, 1, 2, 3, 4]
+    assert _dominant_blocks.cache_info().currsize == 1
 
 
 @given(st.integers(1, 3).flatmap(lambda rank: st.lists(
@@ -544,6 +591,7 @@ def test_regular_orbit_is_the_whole_group(label, order):
 
 def test_bad_orbit_count_is_an_internal_error(monkeypatch):
     table = build_chevalley(parse_type("G2"))
+    _dominant_blocks.cache_clear()
     monkeypatch.setattr("alcoves.wedge.weyl_orbit_size", lambda rs, w: 1)
     with pytest.raises(AssertionError):
         casimir_eigenspace_dim(table, 2)
