@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import lcm
 from operator import add, mul, sub
 
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, _coroot_coords, _integer_inverse
 
 
 class AffineElement(namedtuple("AffineElement", "x w n_vec length lam cas")):
@@ -54,18 +53,15 @@ def _affine_reflection(rs: RootSystem, beta: tuple):
     """The reflection in the affine wall beta = 1 of a positive root beta
     (simple-root coordinates), y -> y - (beta(y) - 1) beta^vee, as the
     (matrix, translation) pair (I - beta^vee (x) beta, beta^vee) acting on
-    evaluation vectors; beta^vee enters through alpha_j(beta^vee)."""
+    evaluation vectors; beta^vee enters through alpha_j(beta^vee) =
+    sum_i c_i a_ij, with c its simple-coroot coordinates."""
     l = rs.rank
-    norm = rs.pair(beta, beta)
-    coroot = []
-    for j in range(l):
-        v, rem = divmod(2 * rs.pair(beta, [int(i == j) for i in range(l)]), norm)
-        if rem:
-            raise AssertionError("coroot is not in the coroot lattice")
-        coroot.append(v)
+    coords = _coroot_coords(rs, beta)
+    coroot = tuple(sum(c * row[j] for c, row in zip(coords, rs.cartan))
+                   for j in range(l))
     mat = tuple(tuple(int(j == k) - coroot[j] * beta[k] for k in range(l))
                 for j in range(l))
-    return mat, tuple(coroot)
+    return mat, coroot
 
 
 def _generators(rs: RootSystem):
@@ -92,15 +88,6 @@ def _mat_mul(a, b):
 
 def _mat_vec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-@lru_cache(maxsize=None)
-def _integer_inverse(rs: RootSystem):
-    """(adj, den) with adj = den * cartan_inv, all integers."""
-    den = lcm(*(v.denominator for row in rs.cartan_inv for v in row))
-    adj = tuple(tuple(v.numerator * (den // v.denominator) for v in row)
-                for row in rs.cartan_inv)
-    return adj, den
 
 
 def _wall_counts(rs: RootSystem, x) -> tuple:

@@ -176,26 +176,28 @@ def _pair(cartan, sym, x, y) -> int:
                for i, xi in enumerate(x) if xi)
 
 
+def _string_start(roots, beta, alpha) -> int:
+    """Largest p with beta - p*alpha in `roots`."""
+    p = 0
+    cur = tuple(b - a for b, a in zip(beta, alpha))
+    while cur in roots:
+        p += 1
+        cur = tuple(c - a for c, a in zip(cur, alpha))
+    return p
+
+
 def _positive_roots_by_closure(cartan, rank):
     """All positive roots, generated from the simple roots by root strings."""
-    roots = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(units)
     frontier = list(roots)
     while frontier:
         new = []
         for c in frontier:
-            for i in range(rank):
+            for i, unit in enumerate(units):
                 pairing = sum(cartan[i][j] * c[j] for j in range(rank))
                 # String through c in direction alpha_i: p - q = pairing.
-                p = 0
-                down = list(c)
-                while True:
-                    down[i] -= 1
-                    t = tuple(down)
-                    if t in roots:
-                        p += 1
-                    else:
-                        break
-                if p - pairing >= 1:
+                if _string_start(roots, c, unit) - pairing >= 1:
                     up = list(c)
                     up[i] += 1
                     t = tuple(up)
@@ -324,6 +326,28 @@ def casimir_eigenvalue(rs: RootSystem, weight) -> Fraction:
     return Fraction(num, 2 * rs.scale)
 
 
+def _coroot_coords(rs: RootSystem, root_coords) -> tuple:
+    """Coordinates of phi^vee in the simple-coroot basis (integers):
+    2 c_i sym_i / pair(phi, phi)."""
+    norm = rs.pair(root_coords, root_coords)
+    out = []
+    for c, s in zip(root_coords, rs.sym):
+        v, rem = divmod(2 * c * s, norm)
+        if rem:
+            raise AssertionError("coroot has non-integer coordinates")
+        out.append(v)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _integer_inverse(rs: RootSystem):
+    """(adj, den) with adj = den * cartan_inv, all integers."""
+    den = lcm(*(v.denominator for row in rs.cartan_inv for v in row))
+    adj = tuple(tuple(v.numerator * (den // v.denominator) for v in row)
+                for row in rs.cartan_inv)
+    return adj, den
+
+
 def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int):
     """All dominant integral weights with Casimir eigenvalue <= ceiling.
 
@@ -331,8 +355,8 @@ def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int):
     with early exit is exhaustive.  With `cartan_inv` cleared by its
     common denominator d, d times the numerator of `casimir_eigenvalue`
     is the integer w.Q.w + L.w, compared with d * ceiling * 2 * scale."""
-    d = lcm(*(x.denominator for row in rs.cartan_inv for x in row))
-    form = [[s * int(x * d) for x in row] for s, row in zip(rs.sym, rs.cartan_inv)]
+    adj, d = _integer_inverse(rs)
+    form = [[s * x for x in row] for s, row in zip(rs.sym, adj)]
     coords = [0] * rs.rank
     out = []
 

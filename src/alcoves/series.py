@@ -168,7 +168,7 @@ def f_poly(k: int) -> RatPoly:
     return RatPoly([Fraction(c, fact) for c in rows[k]])
 
 
-def f_poly_direct(k: int, max_k: int = DIRECT_MAX_K) -> RatPoly:
+def f_poly_direct(k: int) -> RatPoly:
     """f_k(s) assembled term by term from ordered compositions of k.
 
     f_k(s) = sum_n (-s)^n / n! sum over compositions (m_1, ..., m_n) of k
@@ -181,8 +181,9 @@ def f_poly_direct(k: int, max_k: int = DIRECT_MAX_K) -> RatPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > max_k:
-        raise ValueError(f"composition enumeration capped at k = {max_k}")
+    if k > DIRECT_MAX_K:
+        raise ValueError(
+            f"composition enumeration capped at k = {DIRECT_MAX_K}")
     if k == 0:
         return RatPoly([1])
     big = lcm(*range(1, k + 1))

@@ -4,11 +4,14 @@ A Chevalley basis (root vectors plus simple coroots) is built from the
 abstract root system with integer structure constants.  Signs come from
 the classical extraspecial-pair procedure: for each non-simple positive
 root, the decomposition with the smallest first summand gets a positive
-constant, and every other constant follows from the two standard
-identities relating constants around a zero-sum triple or quadruple of
-roots.  Any consistent choice gives an isomorphic algebra; correctness
-is enforced by an exhaustive Jacobi sweep at build time, not by the
-convention.
+constant, and every other decomposition follows from the quadruple
+identity, summed in integers over the lcm of the root norms and divided
+once.  Each constant fills its whole zero-sum triple of roots at once
+(twelve entries, each an exact division), so the constants form one
+integer dict over every ordered root pair, and the bracket table is read
+straight from it.  Any consistent choice gives an isomorphic algebra;
+correctness is enforced by an exhaustive Jacobi sweep at build time, not
+by the convention.
 
 On top of the table sit exact computations on wedge powers: the Casimir
 action (through the split invariant tensor, one pair of slots at a time),
@@ -39,12 +42,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, lcm
-from operator import add
+from operator import add, sub
 
 from .limits import Limits
 from .linalg import exact_rank, invert_rational, nullity
-from .rootsystem import (FrozenRecord, RootSystem, casimir_eigenvalue,
-                         weyl_orbit_size)
+from .rootsystem import (FrozenRecord, RootSystem, _coroot_coords,
+                         _string_start, casimir_eigenvalue, weyl_orbit_size)
 
 
 class LieAlgebraTable(FrozenRecord):
@@ -67,102 +70,69 @@ class LieAlgebraTable(FrozenRecord):
         return root_idx + (self.rs.num_positive if negative else 0)
 
 
-def _string_start(root_set, beta, alpha) -> int:
-    """Largest p with beta - p*alpha a root."""
-    p = 0
-    cur = tuple(b - a for b, a in zip(beta, alpha))
-    while cur in root_set:
-        p += 1
-        cur = tuple(c - a for c, a in zip(cur, alpha))
-    return p
+def _structure_constants(rs: RootSystem):
+    """{(a, b): (c, N)} with [e_a, e_b] = N e_c, for every ordered pair of
+    root-vector indices whose roots sum to a root, in integers.
 
-
-def _structure_signs(rs: RootSystem):
-    """Constants N[x, y] for all root pairs with x + y a root.
-
-    Fills positive pairs in increasing height of the sum, extraspecial
-    pairs first, then resolves every mixed-sign pair through the triple
-    identity  N(x,y)/(z,z) = N(y,-z)/(x,x)  for x + y = z.
+    Walks the positive roots gamma in height order: the extraspecial pair
+    of gamma (smallest first summand) gets p + 1, and every other pair
+    a + b = gamma follows from the quadruple a1 + b1 - a - b = 0, summed
+    as N N (L // norm) with L the lcm of the root norms and divided once.
+    Each value fills its whole zero-sum triple x + y + z = 0 through
+    N(x,y)/(z,z) = N(y,z)/(x,x) = N(z,x)/(y,y), antisymmetry and
+    N(-x,-y) = -N(x,y), so every mixed pair a later quadruple reads is
+    already there.  Every entry is checked to be +-(p+1).
     """
-    pos = list(rs.positive_roots)
-    pos_set = set(pos)
-    all_roots = pos_set | {tuple(-c for c in r) for r in pos}
-    norm = {}
-    for r in pos:
-        n = rs.pair(r, r)
-        norm[r] = n
-        norm[tuple(-c for c in r)] = n
+    m = rs.num_positive
+    pos = rs.positive_roots
+    roots = pos + tuple(tuple(-c for c in r) for r in pos)
+    index = {r: i for i, r in enumerate(roots)}
+    norm = [rs.pair(r, r) for r in roots]
+    big = lcm(*norm)
+    consts = {}
 
-    order = {r: i for i, r in enumerate(pos)}  # height-then-lex rank
-    table = {}  # (x, y) with x <= y in `order`, both positive, sum a root
+    def neg(i):
+        return i + m if i < m else i - m
 
-    def n_positive(x, y):
-        if order[x] <= order[y]:
-            return table[(x, y)]
-        return -table[(y, x)]
-
-    def n_value(x, y):
-        """N for arbitrary roots with x + y a root."""
-        xp = x in pos_set
-        yp = y in pos_set
-        if xp and yp:
-            return n_positive(x, y)
-        if not xp and not yp:
-            return -n_value(tuple(-c for c in x), tuple(-c for c in y))
-        if not xp:
-            return -n_value(y, x)
-        # x positive, y negative.
-        z = tuple(a + b for a, b in zip(x, y))
-        if z in pos_set:
-            return -Fraction(norm[z], norm[x]) * n_value(tuple(-c for c in y), z)
-        return n_value(tuple(-c for c in y), tuple(-c for c in x))
-
-    by_height = sorted((r for r in pos if sum(r) > 1), key=lambda r: (sum(r), r))
-    for gamma in by_height:
-        pairs = []
-        for a in pos:
-            b = tuple(g - x for g, x in zip(gamma, a))
-            if b in pos_set and order[a] <= order[b]:
-                pairs.append((a, b))
-        pairs.sort(key=lambda p: order[p[0]])
-        a1, b1 = pairs[0]  # extraspecial: minimal first summand
-        table[(a1, b1)] = _string_start(all_roots, b1, a1) + 1
-        for a, b in pairs[1:]:
-            # Quadruple a1 + b1 - a - b = 0, no two opposite: solve for
-            # N(-a, -b) and flip.  Terms vanish when the pair sum is not
-            # a root.
-            acc = Fraction(0)
-            d1 = tuple(x - y for x, y in zip(b1, a))      # b1 - a
-            if d1 in all_roots:
-                acc += Fraction(n_value(b1, tuple(-c for c in a)) *
-                                n_value(a1, tuple(-c for c in b)), norm[d1])
-            d2 = tuple(x - y for x, y in zip(a1, a))      # a1 - a
-            if d2 in all_roots:
-                acc += Fraction(n_value(tuple(-c for c in a), a1) *
-                                n_value(b1, tuple(-c for c in b)), norm[d2])
-            val = Fraction(norm[gamma]) * acc / table[(a1, b1)]
-            if val.denominator != 1:
-                raise AssertionError("structure constant is not an integer")
-            table[(a, b)] = int(val)
-    # Magnitude check: every constant is +-(p+1) for its root string.
-    for (a, b), v in table.items():
-        p = _string_start(all_roots, b, a)
-        if abs(v) != p + 1:
-            raise AssertionError(f"constant {v} for {a}+{b} is not +-(p+1)")
-    return n_value
-
-
-def _coroot_coords(rs: RootSystem, root_coords):
-    """Coordinates of phi^vee in the simple-coroot basis (integers):
-    2 c_i sym_i / pair(phi, phi)."""
-    norm = rs.pair(root_coords, root_coords)
-    out = []
-    for c, s in zip(root_coords, rs.sym):
-        v, rem = divmod(2 * c * s, norm)
+    def exact(num, den):
+        q, rem = divmod(num, den)
         if rem:
-            raise AssertionError("coroot has non-integer coordinates")
-        out.append(v)
-    return out
+            raise AssertionError("structure constant is not an integer")
+        return q
+
+    def fill(x, y, n):  # N(x, y) = n, and the rest of its triple
+        z = neg(index[tuple(map(add, roots[x], roots[y]))])
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            v = exact(n * norm[r], norm[z])
+            consts[p, q] = (neg(r), v)
+            consts[q, p] = (neg(r), -v)
+            consts[neg(p), neg(q)] = (r, -v)
+            consts[neg(q), neg(p)] = (r, v)
+
+    for g, gamma in enumerate(pos):
+        pairs = []
+        for a in range(g):
+            b = index.get(tuple(map(sub, gamma, pos[a])), m)
+            if a <= b < m:
+                pairs.append((a, b))
+        if not pairs:  # a simple root
+            continue
+        (a1, b1), *rest = pairs
+        n1 = _string_start(index, roots[b1], roots[a1]) + 1
+        fill(a1, b1, n1)
+        for a, b in rest:
+            acc = 0
+            for x, y, u, v in ((b1, neg(a), a1, neg(b)),
+                               (neg(a), a1, b1, neg(b))):
+                if (x, y) in consts:  # else x + y is no root: no term
+                    c, n = consts[x, y]
+                    acc += n * consts[u, v][1] * (big // norm[c])
+            fill(a, b, exact(norm[g] * acc, big * n1))
+    for (x, y), (_, n) in consts.items():
+        if abs(n) != _string_start(index, roots[y], roots[x]) + 1:
+            raise AssertionError(
+                f"constant {n} for {roots[x]}+{roots[y]} is not +-(p+1)")
+    return consts
 
 
 def build_chevalley(rs: RootSystem,
@@ -186,53 +156,22 @@ def _chevalley_table(rs: RootSystem) -> LieAlgebraTable:
     m = rs.num_positive
     l = rs.rank
     dim = rs.dim_g
-    pos = list(rs.positive_roots)
-    n_value = _structure_signs(rs)
-    index = {r: i for i, r in enumerate(pos)}
-
-    def vec_index(root_coords) -> int:
-        i = index.get(root_coords)
-        if i is not None:
-            return i
-        return m + index[tuple(-c for c in root_coords)]
-
-    def root_of(a: int):
-        if a < m:
-            return pos[a]
-        return tuple(-c for c in pos[a - m])
-
-    brackets = [[() for _ in range(dim)] for _ in range(dim)]
-
-    def set_bracket(a, b, terms):
-        terms = tuple((i, c) for i, c in terms if c != 0)
-        brackets[a][b] = terms
-        brackets[b][a] = tuple((i, -c) for i, c in terms)
-
-    for a in range(2 * m):
-        ra = root_of(a)
-        for b in range(a + 1, 2 * m):
-            rb = root_of(b)
-            s = tuple(x + y for x, y in zip(ra, rb))
-            if not any(s):
-                hcoords = _coroot_coords(rs, ra if a < m else rb)
-                sign = 1 if a < m else -1
-                set_bracket(a, b, [(2 * m + i, sign * c)
-                                   for i, c in enumerate(hcoords)])
-            elif rs.is_root(s):
-                v = Fraction(n_value(ra, rb))
-                if v.denominator != 1:
-                    raise AssertionError("non-integer structure constant")
-                set_bracket(a, b, [(vec_index(s), int(v))])
-    for i in range(l):
-        h = 2 * m + i
-        for a in range(2 * m):
-            ra = root_of(a)
-            pairing = sum(rs.cartan[i][j] * ra[j] for j in range(l))
-            set_bracket(h, a, [(a, pairing)])
-
-    weights = tuple(
-        tuple(rs.root_coords_to_weight(root_of(a))) if a < 2 * m else (0,) * l
-        for a in range(dim))
+    brackets = [[()] * dim for _ in range(dim)]
+    for (a, b), term in _structure_constants(rs).items():
+        brackets[a][b] = (term,)
+    for a, root in enumerate(rs.positive_roots):
+        coroot = tuple((2 * m + i, c)
+                       for i, c in enumerate(_coroot_coords(rs, root)) if c)
+        brackets[a][a + m] = coroot
+        brackets[a + m][a] = tuple((i, -c) for i, c in coroot)
+    half = [rs.root_coords_to_weight(r) for r in rs.positive_roots]
+    weights = tuple(half + [tuple(-x for x in w) for w in half] +
+                    [(0,) * l] * l)
+    for a, weight in enumerate(weights[:2 * m]):
+        for i, x in enumerate(weight):
+            if x:
+                brackets[2 * m + i][a] = ((a, x),)
+                brackets[a][2 * m + i] = ((a, -x),)
     dual, den = _killing_dual(brackets, m, l)
     table = LieAlgebraTable(
         rs=rs, dim=dim,

@@ -1,9 +1,13 @@
 """Structure-constant tables and the exact wedge-power computations."""
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,7 +22,8 @@ from alcoves.suites import run_suite
 from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _chevalley_table,
                            _coboundary_images, _dominant_blocks,
                            _dominant_subsets, _has_highest_weight_vector,
-                           _killing_dual, _theta_single, _verify_jacobi,
+                           _killing_dual, _structure_constants, _theta_single,
+                           _verify_jacobi,
                            _wedge_replace1, _wedge_replace2, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
@@ -156,13 +161,20 @@ def test_sparse_exact_rank_matches_rational_elimination(rows):
     assert rational_rank(fractions) == exact_rank(fractions)
 
 
-@pytest.mark.parametrize("label", TABLE_TYPES + ["F4", "E6", "E7"])
+@pytest.mark.parametrize("label", TABLE_TYPES + ["B4", "C4", "D5", "F4", "E6",
+                                                  "E7"])
 def test_build_verifies_itself(label):
     # Build runs the full Jacobi sweep, the Killing nondegeneracy check,
     # and the Casimir identity; reaching here means they all passed.
     rs = parse_type(label)
     table = build_chevalley(rs, dim_ceiling=rs.dim_g)
     assert table.dim == rs.dim_g
+
+
+def _table_copy(table, brackets):
+    return LieAlgebraTable(
+        rs=table.rs, dim=table.dim, brackets=tuple(map(tuple, brackets)),
+        weights=table.weights, dual=table.dual, killing_den=table.killing_den)
 
 
 @pytest.mark.parametrize("label", ["G2", "B2"])
@@ -180,14 +192,59 @@ def test_jacobi_sweep_catches_a_flipped_constant(label):
         brackets = [list(row) for row in table.brackets]
         for x, y in ((a, b), (b, a)) if flip else ():
             brackets[x][y] = tuple((i, -c) for i, c in brackets[x][y])
-        return LieAlgebraTable(
-            rs=table.rs, dim=table.dim, brackets=tuple(map(tuple, brackets)),
-            weights=table.weights, dual=table.dual,
-            killing_den=table.killing_den)
+        return _table_copy(table, brackets)
 
     _verify_jacobi(copy(False))
     with pytest.raises(AssertionError, match="Jacobi fails on triple"):
         _verify_jacobi(copy(True))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_jacobi_sweep_catches_a_nonzero_cartan_bracket(label):
+    """A copy with [h1, h2] = h1 for the two simple coroots fails the
+    sweep, first on the triple (e_1, f_1, h1): no triple of root vectors
+    alone can see it, so the sweep must reach the coroot indices."""
+    table = build_chevalley(parse_type(label))
+    h1, h2 = table.dim - 2, table.dim - 1
+    brackets = [list(row) for row in table.brackets]
+    brackets[h1][h2] = ((h1, 1),)
+    brackets[h2][h1] = ((h1, -1),)
+    m = table.rs.num_positive
+    with pytest.raises(AssertionError,
+                       match=rf"Jacobi fails on triple \(0, {m}, {h1}\)"):
+        _verify_jacobi(_table_copy(table, brackets))
+
+
+GOLDEN_TABLES = json.loads(
+    (Path(__file__).parent / "data" / "chevalley_tables.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_TABLES))
+def test_table_matches_its_recorded_digest(label):
+    """The sha256 of repr((brackets, dual, killing_den, weights)) of a
+    fresh build is the recorded one: a change of sign convention or basis
+    order shows here and has to update the file on purpose."""
+    table = _chevalley_table.__wrapped__(parse_type(label))
+    digest = hashlib.sha256(repr((table.brackets, table.dual,
+                                  table.killing_den, table.weights)).encode())
+    assert digest.hexdigest() == GOLDEN_TABLES[label]
+
+
+def test_structure_constants_make_no_fraction(count_fractions):
+    """The triple fill and the quadruple sums run in integers, E8 too,
+    and reach every ordered pair of roots whose sum is a root."""
+    for label in ["G2", "F4", "E6", "E8"]:
+        rs = parse_type(label)
+        with count_fractions() as created:
+            consts = _structure_constants(rs)
+        assert not created, (label, created[:3])
+        assert all(type(n) is int for _, n in consts.values())
+        roots = rs.positive_roots + tuple(tuple(-c for c in r)
+                                          for r in rs.positive_roots)
+        sums = {(a, b): tuple(map(add, x, y)) for a, x in enumerate(roots)
+                for b, y in enumerate(roots)}
+        assert set(consts) == {key for key, s in sums.items()
+                               if any(s) and rs.is_root(s)}
 
 
 def test_antisymmetry_of_brackets():
