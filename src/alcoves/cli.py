@@ -6,7 +6,8 @@ any failed, 2 on usage or scale errors, and 3 when an internal invariant
 check fails (a Jacobi, structure-constant, Casimir-identity or series
 divisibility check, reported as "internal error: ..." on stderr).  Every
 numeric argument, and the rank behind --type and --m, is checked against
-its range in one place, before any work starts.  Output is
+its range in one place, before any work starts; a suite receives exactly
+the arguments it names, and any other option is refused first.  Output is
 byte-identical across repeated identical invocations: fixed ordering,
 decimal-string integers, no timestamps.
 """
@@ -63,9 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="probe f_k(24) for zeros up to kmax")
 
     p = add_parser("mcore", help="null-core counts and the weight map")
+    p.set_defaults(suite="mcore")  # `verify --suite mcore` with --m required
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--max-length", type=int, default=6)
+    p.add_argument("--kmax", type=int)
+    p.add_argument("--max-length", type=int)
 
     p = add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
@@ -97,8 +99,11 @@ def _ranges(args, limits: Limits) -> dict:
 
 
 def check_sizes(args, limits: Limits) -> None:
-    """Refuse any numeric argument outside its range, and any type rank
-    over `max_rank`, naming the limit."""
+    """Refuse any option the suite does not take, then any numeric
+    argument out of range or type rank over `max_rank`, naming the limit."""
+    if hasattr(args, "suite"):
+        from .suites import bind_arguments
+        bind_arguments(args.suite, limits=limits, **_suite_options(args))
     for dest, (low, high, ceiling) in _ranges(args, limits).items():
         value = getattr(args, dest, None)
         if value is None:
@@ -216,19 +221,16 @@ def cmd_fk(args, limits: Limits) -> Report:
     return rep
 
 
-def cmd_mcore(args, limits: Limits) -> Report:
-    from .suites import run_suite
-
-    return run_suite("mcore", None, limits, m=args.m, kmax=args.kmax,
-                     max_length=args.max_length)
+def _suite_options(args) -> dict:
+    """The suite options of `verify` and `mcore`, None where not given."""
+    return {dest: vars(args).get(dest) for dest in
+            ("type_label", "max_length", "kmax", "cas_ceiling", "m")}
 
 
 def cmd_verify(args, limits: Limits) -> Report:
     from .suites import run_suite
 
-    return run_suite(args.suite, args.type_label, limits,
-                     max_length=args.max_length, kmax=args.kmax,
-                     cas_ceiling=args.cas_ceiling, m=args.m)
+    return run_suite(args.suite, limits=limits, **_suite_options(args))
 
 
 _COMMANDS = {
@@ -236,7 +238,7 @@ _COMMANDS = {
     "alcoves": cmd_alcoves,
     "ideals": cmd_ideals,
     "fk": cmd_fk,
-    "mcore": cmd_mcore,
+    "mcore": cmd_verify,
     "verify": cmd_verify,
 }
 

@@ -231,7 +231,7 @@ def verify_subset_bound(rs: RootSystem, k: int,
     total = comb(m, k)
     if total > max_candidates:
         raise ValueError(f"{total} subsets exceed the subset_candidates "
-                         f"ceiling {max_candidates}; raise it explicitly")
+                         f"ceiling {max_candidates}")
     P, R, unit = _pairing_tables(rs)
     bound = k * unit
     pair_max = max([0] + [P[a][b] for a in range(m) for b in range(a + 1, m)])

@@ -15,9 +15,9 @@ BIG_FACTOR = 100  # --allow-big multiplies every ceiling by this
 
 
 class Limits:
-    """An immutable set of ceilings.  The defaults are class attributes,
-    so that a default argument can read `Limits.<field>`; an instance
-    stores only the fields given to it by keyword."""
+    """An immutable set of ceilings, each a non-negative integer.  The
+    defaults are class attributes, so that a default argument can read
+    `Limits.<field>`; an instance stores only the fields given by keyword."""
 
     subset_candidates: int = 2_000_000      # k-subset sweeps (positive-root subsets)
     partition_candidates: int = 2_000_000   # root-partition and core sweeps
@@ -30,7 +30,11 @@ class Limits:
     def __init__(self, **fields):
         unknown = set(fields) - set(FIELDS)
         if unknown:
-            raise TypeError(f"Limits has no fields {sorted(unknown)}")
+            raise TypeError(f"unknown limit fields {sorted(unknown)}")
+        for name, value in fields.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"field {name!r} must be a non-negative "
+                                 f"integer, not {value!r}")
         vars(self).update(fields)
 
     def __setattr__(self, name, value=None):
@@ -66,10 +70,10 @@ def load_limits(path: str | None = None) -> Limits:
         return Limits()
     try:
         with open(path, encoding="utf-8") as fh:
-            data = dict(json.load(fh))
-        unknown = set(data) - set(FIELDS)
-        if unknown:
-            raise ValueError(f"unknown limit fields {sorted(unknown)}")
-        return Limits(**{k: int(v) for k, v in data.items()})
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"holds a {type(data).__name__}, not a JSON "
+                             "object of limit fields")
+        return Limits(**data)
     except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"{ENV_VAR} file {path}: {exc}") from None

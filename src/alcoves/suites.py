@@ -6,6 +6,8 @@ values they compared as decimal-string witnesses.  Every library module
 (root systems, alcoves, ideals, series, wedge, type A) is imported inside
 the suites that use it, so a suite compiles only what it runs: the series
 suites `roots-f234` and `euler-char` never compile `alcove` or `ideals`.
+A suite receives exactly the arguments it names (`rs` for `--type`,
+`limits` if it reads a ceiling, `max_length` for `--max-length`, ...).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ if TYPE_CHECKING:
 SMALL_MALCEV = {"A1": 1, "A2": 2, "G2": 3}
 
 
-def suite_peterson(rs: RootSystem, limits: Limits, **_) -> Report:
+def suite_peterson(rs: RootSystem) -> Report:
     from .ideals import enumerate_abelian_ideals, max_abelian_dimension
 
     rep = Report(suite="peterson", type_label=rs.label)
@@ -45,7 +47,7 @@ def suite_peterson(rs: RootSystem, limits: Limits, **_) -> Report:
     return rep
 
 
-def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
+def suite_seven_numbers(rs: RootSystem, limits: Limits) -> Report:
     """Five independent computations of the same number for k up to the
     dual Coxeter number: the signed series coefficient, the abelian-ideal
     dimension sum, the Casimir eigenspace dimension, the coboundary-ideal
@@ -77,7 +79,7 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits, **_) -> Report:
     return rep
 
 
-def suite_bott(rs: RootSystem, limits: Limits, max_length: int = 12, **_) -> Report:
+def suite_bott(rs: RootSystem, max_length: int = 12) -> Report:
     from .alcove import counts_by_length
     from .series import bott_series
 
@@ -91,7 +93,7 @@ def suite_bott(rs: RootSystem, limits: Limits, max_length: int = 12, **_) -> Rep
     return rep
 
 
-def suite_betti_ideals(rs: RootSystem, limits: Limits, **_) -> Report:
+def suite_betti_ideals(rs: RootSystem) -> Report:
     from .ideals import enumerate_abelian_ideals
     from .series import bott_series
 
@@ -106,7 +108,7 @@ def suite_betti_ideals(rs: RootSystem, limits: Limits, **_) -> Report:
 
 
 def suite_subset_bound(rs: RootSystem, limits: Limits,
-                       kmax: int | None = None, **_) -> Report:
+                       kmax: int | None = None) -> Report:
     """Norm bound for arbitrary k-subsets of positive roots, equality
     exactly on abelian-ideal root sets.  Degrees whose subset count
     exceeds the configured ceiling are reported as skipped."""
@@ -116,12 +118,11 @@ def suite_subset_bound(rs: RootSystem, limits: Limits,
     rep = Report(suite="subset-bound", type_label=rs.label,
                  params={"kmax": kmax})
     for k in range(kmax + 1):
-        if comb(rs.num_positive, k) > limits.subset_candidates:
-            rep.skip(f"subset-bound-k{k}",
-                     detail=f"{comb(rs.num_positive, k)} subsets exceed the "
-                            f"subset_candidates ceiling {limits.subset_candidates}")
+        try:
+            res = verify_subset_bound(rs, k, limits.subset_candidates)
+        except ValueError as exc:  # the only refusal: over the ceiling
+            rep.skip(f"subset-bound-k{k}", detail=str(exc))
             continue
-        res = verify_subset_bound(rs, k, limits.subset_candidates)
         rep.add(f"subset-bound-k{k}", res["ok"],
                 {"subsets": res["subsets"],
                  "equality_cases": len(res["equality_sets"]),
@@ -131,7 +132,7 @@ def suite_subset_bound(rs: RootSystem, limits: Limits,
 
 
 def suite_root_partitions(rs: RootSystem, limits: Limits,
-                          cas_ceiling: int = 6, **_) -> Report:
+                          cas_ceiling: int = 6) -> Report:
     from .ideals import verify_root_partition_bound
 
     rep = Report(suite="root-partitions", type_label=rs.label,
@@ -148,8 +149,7 @@ def suite_root_partitions(rs: RootSystem, limits: Limits,
     return rep
 
 
-def suite_ideal_chains(rs: RootSystem, limits: Limits,
-                       max_length: int = 6, **_) -> Report:
+def suite_ideal_chains(rs: RootSystem, max_length: int = 6) -> Report:
     """Wall-count level sets of each alcove form a chain of ideals whose
     sums reconstruct the alcove weight, topped by an abelian ideal."""
     from .alcove import enumerate_dominant, ideal_chain
@@ -189,8 +189,7 @@ def suite_ideal_chains(rs: RootSystem, limits: Limits,
     return rep
 
 
-def suite_parity(rs: RootSystem, limits: Limits,
-                 max_length: int = 8, **_) -> Report:
+def suite_parity(rs: RootSystem, max_length: int = 8) -> Report:
     from .alcove import (enumerate_dominant, finite_part_length,
                          two_rho_pairing_killing)
 
@@ -208,8 +207,7 @@ def suite_parity(rs: RootSystem, limits: Limits,
     return rep
 
 
-def suite_gap(rs: RootSystem, limits: Limits,
-              max_length: int | None = None, **_) -> Report:
+def suite_gap(rs: RootSystem, max_length: int | None = None) -> Report:
     """Alcoves outside twice the fundamental alcove are at least h_dual
     long; Casimir at most h_dual forces membership."""
     from .alcove import enumerate_dominant, in_wf2
@@ -229,8 +227,7 @@ def suite_gap(rs: RootSystem, limits: Limits,
     return rep
 
 
-def suite_euler_char(rs: RootSystem, limits: Limits,
-                     kmax: int = 12, **_) -> Report:
+def suite_euler_char(rs: RootSystem, kmax: int = 12) -> Report:
     """Alternating wedge-degree sums of the bigraded dimensions equal the
     Euler-product coefficients; the top corner dominates through h_dual."""
     from .series import bigraded_dims, euler_power
@@ -252,7 +249,7 @@ def suite_euler_char(rs: RootSystem, limits: Limits,
     return rep
 
 
-def suite_roots_f234(limits: Limits, kmax: int = 12, **_) -> Report:
+def suite_roots_f234(kmax: int = 12) -> Report:
     """Closed forms of the first coefficient polynomials, their integer
     roots, and agreement of the two construction routes."""
     from .series import RatPoly, f_poly, f_poly_direct
@@ -276,7 +273,7 @@ def suite_roots_f234(limits: Limits, kmax: int = 12, **_) -> Report:
     return rep
 
 
-def suite_interpolation(limits: Limits, **_) -> Report:
+def suite_interpolation() -> Report:
     """Each f_k is pinned down by k special-linear dimension sums at the
     points m^2 - 1, together with the root at zero."""
     from .ideals import dim_Ck
@@ -318,7 +315,7 @@ def _lagrange(points) -> RatPoly:
 
 
 def suite_mcore(limits: Limits, m: int = 3, kmax: int = 3,
-                max_length: int = 6, **_) -> Report:
+                max_length: int = 6) -> Report:
     from . import typea
 
     rep = Report(suite="mcore", params={"m": m, "kmax": kmax,
@@ -344,8 +341,8 @@ def suite_mcore(limits: Limits, m: int = 3, kmax: int = 3,
     return rep
 
 
-def suite_sign(rs: RootSystem, limits: Limits, max_length: int = 8,
-               cas_ceiling: int | None = None, **_) -> Report:
+def suite_sign(rs: RootSystem, max_length: int = 8,
+               cas_ceiling: int | None = None) -> Report:
     """Character values at an element of type rho: length parity on alcove
     weights, zero on every other dominant weight below the ceiling."""
     from .alcove import chi_at_type_rho, enumerate_dominant
@@ -370,7 +367,7 @@ def suite_sign(rs: RootSystem, limits: Limits, max_length: int = 8,
     return rep
 
 
-def suite_bijection(rs: RootSystem, limits: Limits, **_) -> Report:
+def suite_bijection(rs: RootSystem) -> Report:
     """Round trip between abelian ideals and alcoves in twice the
     fundamental alcove, with lengths matching ideal sizes; the alcoves
     built by affine reflections equal those the alcove BFS finds."""
@@ -396,35 +393,37 @@ def suite_bijection(rs: RootSystem, limits: Limits, **_) -> Report:
     return rep
 
 
-SUITES = {
-    "peterson": (suite_peterson, True),
-    "seven-numbers": (suite_seven_numbers, True),
-    "bott": (suite_bott, True),
-    "betti-ideals": (suite_betti_ideals, True),
-    "subset-bound": (suite_subset_bound, True),
-    "root-partitions": (suite_root_partitions, True),
-    "ideal-chains": (suite_ideal_chains, True),
-    "parity": (suite_parity, True),
-    "gap": (suite_gap, True),
-    "euler-char": (suite_euler_char, True),
-    "roots-f234": (suite_roots_f234, False),
-    "interpolation": (suite_interpolation, False),
-    "mcore": (suite_mcore, False),
-    "sign": (suite_sign, True),
-    "bijection": (suite_bijection, True),
-}
+# Suite `x-y` is the function `suite_x_y`, in the order defined above.
+SUITES = {name[6:].replace("_", "-"): fn
+          for name, fn in list(globals().items()) if name.startswith("suite_")}
+
+
+def _flag(arg: str) -> str:
+    return "--type" if arg == "rs" else "--" + arg.replace("_", "-")
+
+
+def bind_arguments(name: str, type_label: str | None, limits: Limits,
+                   **options) -> dict:
+    """The arguments suite `name` names, by name: `rs` (still a label),
+    `limits`, and the options given (not None); refuses any other."""
+    code = SUITES[name].__code__
+    takes = code.co_varnames[:code.co_argcount]
+    given = {k: v for k, v in dict(options, rs=type_label).items()
+             if v is not None}
+    extra = [_flag(a) for a in given if a not in takes]
+    if extra:
+        flags = ", ".join(_flag(a) for a in takes if a != "limits")
+        raise ValueError(f"suite {name!r} does not take {', '.join(extra)}; "
+                         f"it takes {flags or 'no options'}")
+    if "rs" in takes and not type_label:
+        raise ValueError(f"suite {name!r} requires a type label")
+    return dict(given, limits=limits) if "limits" in takes else given
 
 
 def run_suite(name: str, type_label: str | None, limits: Limits,
-              **params) -> Report:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    fn, needs_type = SUITES[name]
-    params = {k: v for k, v in params.items() if v is not None}
-    if needs_type:
-        if not type_label:
-            raise ValueError(f"suite {name!r} requires a type label")
+              **options) -> Report:
+    kwargs = bind_arguments(name, type_label, limits, **options)
+    if "rs" in kwargs:
         from .rootsystem import parse_type
-
-        return fn(parse_type(type_label), limits, **params)
-    return fn(limits, **params)
+        kwargs["rs"] = parse_type(type_label)
+    return SUITES[name](**kwargs)

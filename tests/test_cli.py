@@ -61,7 +61,11 @@ def test_byte_identical_output(capsys):
     assert "\r" not in first
 
 
-TYPED_SUITES = sorted(name for name, (_, typed) in SUITES.items() if typed)
+def arguments(fn) -> tuple:
+    return fn.__code__.co_varnames[:fn.__code__.co_argcount]
+
+
+TYPED_SUITES = sorted(name for name, fn in SUITES.items() if "rs" in arguments(fn))
 
 
 @given(suite=st.sampled_from(TYPED_SUITES),
@@ -139,9 +143,9 @@ def test_scale_error_exit_code(capsys):
     assert "ceiling" in err
 
 
-# Each row: argv, ALCOVES_LIMITS file ("missing" for an absent one, a dict
-# of fields to write to one, or None), and the words the error must
-# contain: the argument and its limit.
+# Each row: argv, ALCOVES_LIMITS file ("missing" for an absent one, a JSON
+# value to write to one, or None), and the words the error must contain:
+# the argument and its limit, or the file and what is wrong in it.
 SIZE_ERRORS = [
     pytest.param(["fk", "--kmax", "-2"], None, ["--kmax -2", "minimum 0"],
                  id="fk-negative-kmax"),
@@ -203,6 +207,22 @@ SIZE_ERRORS = [
                  {"partition_candidates": 3},
                  ["partition enumeration", "partition_candidates ceiling 3"],
                  id="mcore-coverage-over-partition-candidates"),
+    pytest.param(["verify", "--suite", "peterson", "--type", "A2"],
+                 {"max_length": 2.9},
+                 ["limits.json", "'max_length'", "non-negative integer"],
+                 id="limits-file-fractional-value"),
+    pytest.param(["verify", "--suite", "peterson", "--type", "A2"],
+                 {"max_order": True},
+                 ["limits.json", "'max_order'", "non-negative integer"],
+                 id="limits-file-boolean-value"),
+    pytest.param(["verify", "--suite", "peterson", "--type", "A2"],
+                 {"wedge_matrix": -3},
+                 ["limits.json", "'wedge_matrix'", "non-negative integer"],
+                 id="limits-file-negative-value"),
+    pytest.param(["verify", "--suite", "peterson", "--type", "A2"],
+                 [["max_length", 3]],
+                 ["limits.json", "holds a list", "JSON object"],
+                 id="limits-file-not-an-object"),
 ]
 
 
@@ -220,6 +240,68 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+# The flags each suite takes: one per argument its function names, with
+# `rs` as --type and `limits` not a flag.
+SUITE_OPTIONS = {
+    "peterson": ("--type",),
+    "seven-numbers": ("--type",),
+    "bott": ("--type", "--max-length"),
+    "betti-ideals": ("--type",),
+    "subset-bound": ("--type", "--kmax"),
+    "root-partitions": ("--type", "--cas-ceiling"),
+    "ideal-chains": ("--type", "--max-length"),
+    "parity": ("--type", "--max-length"),
+    "gap": ("--type", "--max-length"),
+    "euler-char": ("--type", "--kmax"),
+    "roots-f234": ("--kmax",),
+    "interpolation": (),
+    "mcore": ("--m", "--kmax", "--max-length"),
+    "sign": ("--type", "--max-length", "--cas-ceiling"),
+    "bijection": ("--type",),
+}
+# A value in range and one out of range for each flag of `verify`.
+FLAG_VALUES = {"--type": ("A2", "A40"), "--max-length": ("2", "1000"),
+               "--kmax": ("2", "9999"), "--cas-ceiling": ("2", "-1"),
+               "--m": ("3", "1")}
+UNTAKEN = [(suite, flag) for suite, flags in SUITE_OPTIONS.items()
+           for flag in FLAG_VALUES if flag not in flags]
+
+
+def test_suite_options_are_the_suite_signatures():
+    flags = {name: tuple("--type" if a == "rs" else "--" + a.replace("_", "-")
+                         for a in arguments(fn) if a != "limits")
+             for name, fn in SUITES.items()}
+    assert flags == SUITE_OPTIONS
+    assert sum(map(len, SUITE_OPTIONS.values())) == 25
+    assert len(UNTAKEN) == 50
+    assert sorted(name for name, fn in SUITES.items()
+                  if "limits" in arguments(fn)) == \
+        ["mcore", "root-partitions", "seven-numbers", "subset-bound"]
+
+
+@pytest.mark.parametrize("in_range", [True, False], ids=["in-range", "out-of-range"])
+@pytest.mark.parametrize("suite,flag", UNTAKEN)
+def test_untaken_option_exits_two_before_any_work(capsys, monkeypatch, suite,
+                                                  flag, in_range):
+    def no_root_system(label):
+        raise AssertionError(f"root system {label} built")
+
+    monkeypatch.setattr("alcoves.rootsystem.parse_type", no_root_system)
+    typed = "--type" in SUITE_OPTIONS[suite]
+    value = FLAG_VALUES[flag][0 if in_range else 1]
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value,
+                             *(["--type", "A2"] if typed else []))
+    assert (code, out) == (2, "")
+    assert f"suite {suite!r} does not take {flag};" in err, err
+
+
+def test_mcore_command_is_the_mcore_suite(capsys):
+    flags = ("--m", "4", "--kmax", "4", "--max-length", "10")
+    direct = run_cli(capsys, "mcore", *flags)
+    assert direct[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "mcore", *flags) == direct
 
 
 def test_seven_numbers_ignores_subset_candidates(capsys, monkeypatch, tmp_path):
@@ -329,13 +411,13 @@ def test_exit_code_one_on_failure(capsys, monkeypatch):
     # Sabotage one suite to confirm the failure path propagates.
     import alcoves.suites as suites
 
-    def broken(rs, limits, **_):
+    def broken(rs):
         from alcoves.report import Report
         rep = Report(suite="peterson", type_label=rs.label)
         rep.add("forced-failure", False)
         return rep
 
-    monkeypatch.setitem(suites.SUITES, "peterson", (broken, True))
+    monkeypatch.setitem(suites.SUITES, "peterson", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "peterson",
                            "--type", "A1")
     assert code == 1
@@ -373,6 +455,8 @@ GOLDEN = [
                            "--method", "both"]),
     ("mcore_m3.json", ["verify", "--suite", "mcore", "--m", "3",
                        "--kmax", "3", "--max-length", "6"]),
+    # The mcore command's defaults are the suite's own.
+    ("mcore_m3.json", ["mcore", "--m", "3"]),
 ]
 
 
