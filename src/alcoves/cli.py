@@ -2,13 +2,14 @@
 
 Every invocation prints one canonical key-sorted JSON document (or a
 human table with --summary) and exits 0 when all checks passed, 1 when
-any failed, 2 on usage or scale errors, and 3 when an internal invariant
-check fails (a Jacobi, structure-constant, Casimir-identity or series
+any failed, 2 on usage or scale errors (a report whose every check was
+skipped over a ceiling is one), and 3 when an internal invariant check
+fails (a Jacobi, structure-constant, Casimir-identity or series
 divisibility check, reported as "internal error: ..." on stderr).  Every
 numeric argument, and the rank behind --type and --m, is checked against
 its range in one place, before any work starts; a suite receives exactly
-the arguments it names, and any other option is refused first.  Output is
-byte-identical across repeated identical invocations: fixed ordering,
+the arguments it names, and any other option is refused first.  Output
+is byte-identical across repeated identical invocations: fixed ordering,
 decimal-string integers, no timestamps.
 """
 
@@ -86,9 +87,6 @@ def _ranges(args, limits: Limits) -> dict:
     if getattr(args, "method", "series") != "series":
         # The alcove route enumerates alcoves up to length kmax.
         kmax = min(kmax, (limits.max_length, "max_length"))
-    if getattr(args, "suite", None) == "roots-f234":
-        from .series import DIRECT_MAX_K
-        kmax = min(kmax, (DIRECT_MAX_K, "composition-route"))
     return {
         "kmax": (0, *kmax),
         "max_length": (0, limits.max_length, "max_length"),
@@ -263,7 +261,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
     sys.stdout.write(report.summary() if args.summary else report.canonical())
-    return report.exit_code()
+    code = report.exit_code()
+    if code == 2:  # every check was skipped; the first says which ceiling
+        sys.stderr.write(f"error: no check ran: {report.checks[0].detail}\n")
+    return code
 
 
 def entrypoint() -> None:

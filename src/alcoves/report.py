@@ -68,10 +68,13 @@ class Report:
 
     @property
     def overall(self) -> str:
-        return FAIL if self.failed else PASS
+        """fail if any check failed; skipped if every check was skipped."""
+        if self.failed:
+            return FAIL
+        return SKIP if {c.status for c in self.checks} == {SKIP} else PASS
 
     def exit_code(self) -> int:
-        return 1 if self.failed else 0
+        return {PASS: 0, FAIL: 1, SKIP: 2}[self.overall]
 
     def as_dict(self) -> dict:
         return {

@@ -3,17 +3,15 @@
 Integer power series are dense coefficient lists with a hard truncation
 order.  Rational polynomials in one variable back the coefficient
 polynomials f_k(s) of the s-th power of the Euler product, computed two
-independent ways (a logarithmic derivative recurrence on k! f_k(s) and
-direct composition enumeration).
+independent ways: a logarithmic-derivative (divisor-sum) recurrence on
+k! f_k(s), and interpolation through the values f_k(s) = [x^k] of the
+s-th power for s = 0..k, read from the pentagonal-theorem series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, isqrt, lcm
-
-# Largest k the exponential composition route of f_k is allowed to reach.
-DIRECT_MAX_K = 20
+from math import comb, factorial, isqrt
 
 
 class IntSeries:
@@ -122,14 +120,6 @@ class RatPoly:
         return acc
 
 
-def mu(m: int) -> Fraction:
-    """Sum of reciprocals of the divisors of m."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return sum((Fraction(1, d) for d in range(1, m + 1) if m % d == 0),
-               Fraction(0))
-
-
 def _scaled_fk_rows(k: int, rows=((1,),)):
     """Integer coefficients in s of g_n = n! f_n(s), n <= k, extending the
     given g_0, g_1, ...  The logarithmic derivative of the product gives
@@ -169,38 +159,28 @@ def f_poly(k: int) -> RatPoly:
 
 
 def f_poly_direct(k: int) -> RatPoly:
-    """f_k(s) assembled term by term from ordered compositions of k.
+    """f_k(s) interpolated through its values at s = 0..k.
 
-    f_k(s) = sum_n (-s)^n / n! sum over compositions (m_1, ..., m_n) of k
-    of prod mu(m_i).  With L = lcm(1..k), each L mu(m) = sum_{d | m} L/d is
-    an integer, so the sums over compositions are integer sums scaled by
-    L^n, and each coefficient is one Fraction at the end.  A depth-first
-    walk by first part reaches every composition as one leaf, carrying the
-    product of its prefix.  Independent of the recurrence route;
-    exponential in k, so guarded.
+    f_k(s) is the x^k coefficient of the s-th Euler-product power, so
+    f_k(s) = euler_power(s, k)[k] for s >= 1 and f_k(0) = [k = 0]; a
+    polynomial of degree k is fixed by these k + 1 values.  Newton's
+    forward form f_k(s) = sum_j D^j f_k(0) s(s-1)...(s-j+1) / j! is summed
+    in integers as k! f_k(s), with integer differences D^j f_k(0) and the
+    falling factorials expanded in powers of s; each coefficient is one
+    Fraction at the end.  Independent of the recurrence route.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > DIRECT_MAX_K:
-        raise ValueError(
-            f"composition enumeration capped at k = {DIRECT_MAX_K}")
-    if k == 0:
-        return RatPoly([1])
-    big = lcm(*range(1, k + 1))
-    scaled_mu = [0] + [sum(big // d for d in range(1, m + 1) if m % d == 0)
-                       for m in range(1, k + 1)]
-    sums = [0] * (k + 1)  # sums[n]: L^n times the sum over n-part compositions
-
-    def walk(left: int, parts: int, product: int) -> None:
-        if not left:
-            sums[parts] += product
-            return
-        for m in range(1, left + 1):
-            walk(left - m, parts + 1, product * scaled_mu[m])
-
-    walk(k, 0, 1)
-    return RatPoly([0] + [Fraction((-1) ** n * sums[n], factorial(n) * big ** n)
-                          for n in range(1, k + 1)])
+    values = [int(k == 0)] + [euler_power(s, k)[k] for s in range(1, k + 1)]
+    fact = factorial(k)
+    scaled = [0] * (k + 1)  # k! f_k(s), by power of s
+    falling = [1]           # s(s-1)...(s-j+1), by power of s
+    for j in range(k + 1):
+        c = values[0] * (fact // factorial(j))
+        scaled[:j + 1] = [a + c * b for a, b in zip(scaled, falling)]
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = [p - j * q for p, q in zip([0] + falling, falling + [0])]
+    return RatPoly([Fraction(c, fact) for c in scaled])
 
 
 class BigradedTable:

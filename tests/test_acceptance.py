@@ -5,11 +5,15 @@ and asserts the generous wall-clock budget it must fit in.  Run with
 `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
+import io
+import json
 import time
+from contextlib import redirect_stdout
 
 from alcoves.alcove import (chi_at_type_rho, counts_by_length,
                             enumerate_dominant, finite_part_length, in_wf2,
                             two_rho_pairing_killing)
+from alcoves.cli import main
 from alcoves.ideals import enumerate_abelian_ideals
 from alcoves.limits import Limits
 from alcoves.report import PASS
@@ -109,6 +113,17 @@ def test_criterion_05_coefficient_polynomials():
                                      Fraction(-18, 24), Fraction(1, 24)])
         for k in range(13):
             assert f_poly(k) == f_poly_direct(k)
+
+
+def test_criterion_05_routes_agree_to_max_order():
+    with Budget("criterion 5: recurrence and interpolation routes of f_k "
+                "agree to k = 128", 60):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["verify", "--suite", "roots-f234", "--kmax", "128"]) == 0
+        checks = {c["claim"]: c["status"]
+                  for c in json.loads(out.getvalue())["checks"]}
+        assert checks["recurrence-matches-composition-route"] == PASS
 
 
 def test_criterion_06_loop_space_counts():

@@ -166,9 +166,9 @@ SIZE_ERRORS = [
                   "--cas-ceiling", "100000"], None,
                  ["--cas-ceiling 100000", "max_length ceiling 64"],
                  id="sign-cas-ceiling-unbounded"),
-    pytest.param(["verify", "--suite", "roots-f234", "--kmax", "30"], None,
-                 ["--kmax 30", "composition-route ceiling 20"],
-                 id="roots-f234-kmax-over-composition-cap"),
+    pytest.param(["verify", "--suite", "roots-f234", "--kmax", "129"], None,
+                 ["--kmax 129", "max_order ceiling 128"],
+                 id="roots-f234-kmax-over-max-order"),
     pytest.param(["verify", "--suite", "peterson", "--type", "A2"], "missing",
                  ["ALCOVES_LIMITS", "missing.json"],
                  id="missing-limits-file"),
@@ -240,6 +240,25 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+def test_every_range_ceiling_is_a_limits_field():
+    """Each maximum `_ranges` can set, for every command and suite, is a
+    field of `Limits`, so no scale ceiling lives outside it."""
+    from alcoves.cli import _COMMANDS, _build_parser, _ranges
+    from alcoves.limits import FIELDS
+
+    argvs = [["coeffs", "--type", "A1", "--method", method]
+             for method in ("series", "alcove", "both")]
+    argvs += [["alcoves", "--type", "A1"], ["ideals", "--type", "A1"],
+              ["fk"], ["mcore", "--m", "3"]]
+    argvs += [["verify", "--suite", suite] for suite in SUITE_NAMES]
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
+    parser = _build_parser()
+    for argv in argvs:
+        ranges = _ranges(parser.parse_args(argv), Limits())
+        ceilings = {ceiling for _, _, ceiling in ranges.values() if ceiling}
+        assert ceilings <= set(FIELDS), (argv, ceilings)
 
 
 # The flags each suite takes: one per argument its function names, with
@@ -343,6 +362,34 @@ def test_skipped_degree_names_the_limit(capsys, monkeypatch, tmp_path):
     assert checks["subset-bound-k2"]["status"] == "skipped"
     assert checks["subset-bound-k2"]["detail"] == \
         "6 subsets exceed the subset_candidates ceiling 5"
+
+
+def test_every_check_skipped_exits_two(capsys, monkeypatch, tmp_path):
+    # B2 has at least one subset of positive roots in every degree.
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps({"subset_candidates": 0}))
+    monkeypatch.setenv("ALCOVES_LIMITS", str(path))
+    code, out, err = run_cli(capsys, "verify", "--suite", "subset-bound",
+                             "--type", "B2")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["overall"] == "skipped"
+    assert {c["status"] for c in doc["checks"]} == {"skipped"}
+    assert err == ("error: no check ran: 1 subsets exceed the "
+                   "subset_candidates ceiling 0\n")
+
+
+def test_report_exit_code_reads_passes_skips_and_failures():
+    from alcoves.report import Report
+
+    rep = Report(suite="demo")
+    assert (rep.overall, rep.exit_code()) == ("pass", 0)
+    rep.skip("skipped-claim", detail="over a ceiling")
+    assert (rep.overall, rep.exit_code()) == ("skipped", 2)
+    rep.add("passed-claim", True)
+    assert (rep.overall, rep.exit_code()) == ("pass", 0)
+    rep.add("failed-claim", False)
+    assert (rep.overall, rep.exit_code()) == ("fail", 1)
 
 
 # Each row: the module attribute replaced by a function that fails an

@@ -2,24 +2,25 @@
 
 Expected values for the single and cubed Euler product come from the
 classical sparse expansions, generated here independently: exponents
-n(3n - 1)/2 with sign (-1)^n, and (-1)^n (2n + 1) at n(n + 1)/2.  Two
+n(3n - 1)/2 with sign (-1)^n, and (-1)^n (2n + 1) at n(n + 1)/2.  Three
 reference routes live here as oracles for the integer engine: the dense
-product of binomially expanded factors (1 - x^n)^e, and the rational
-logarithmic-derivative recurrence for f_k.
+product of binomially expanded factors (1 - x^n)^e, the rational
+logarithmic-derivative recurrence for f_k, and the walk over the ordered
+compositions of k for f_k.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from alcoves.rootsystem import parse_type
-from alcoves.series import (DIRECT_MAX_K, IntSeries, RatPoly,
-                            _scaled_fk_rows, alcove_coefficient_series,
-                            bigraded_dims, bott_series, euler_power, f_poly,
-                            f_poly_direct, lehmer_probe, mu)
+from alcoves.series import (IntSeries, RatPoly, _scaled_fk_rows,
+                            alcove_coefficient_series, bigraded_dims,
+                            bott_series, euler_power, f_poly, f_poly_direct,
+                            lehmer_probe)
 
 
 def dense_mul(a, b, order):
@@ -44,6 +45,12 @@ def dense_euler_power(e, order):
     return acc
 
 
+def mu(m):
+    """Sum of reciprocals of the divisors of m."""
+    return sum((Fraction(1, d) for d in range(1, m + 1) if m % d == 0),
+               Fraction(0))
+
+
 def fraction_f_polys(kmax):
     """f_0..f_kmax as rational coefficient lists in s, by the recurrence
     k f_k = -s sum_m m mu(m) f_{k-m}."""
@@ -56,6 +63,30 @@ def fraction_f_polys(kmax):
                 acc[i] += c * v
         polys.append([Fraction(0)] + [-v / n for v in acc])
     return polys
+
+
+def composition_f_poly(k):
+    """f_k(s) = sum_n (-s)^n / n! sum over the ordered compositions
+    (m_1, ..., m_n) of k of prod mu(m_i), by a depth-first walk over all
+    2^(k-1) compositions.  With L = lcm(1..k) each L mu(m) is an integer,
+    so the sum over n-part compositions is L^n times an integer sum."""
+    if k == 0:
+        return RatPoly([1])
+    big = lcm(*range(1, k + 1))
+    scaled_mu = [0] + [sum(big // d for d in range(1, m + 1) if m % d == 0)
+                       for m in range(1, k + 1)]
+    sums = [0] * (k + 1)  # sums[n]: L^n times the sum over n-part compositions
+
+    def walk(left, parts, product):
+        if not left:
+            sums[parts] += product
+            return
+        for m in range(1, left + 1):
+            walk(left - m, parts + 1, product * scaled_mu[m])
+
+    walk(k, 0, 1)
+    return RatPoly([0] + [Fraction((-1) ** n * sums[n], factorial(n) * big ** n)
+                          for n in range(1, k + 1)])
 
 
 def pentagonal_series(order):
@@ -183,14 +214,19 @@ def test_f_poly_roots():
         assert f_poly(k).degree == k
 
 
-@pytest.mark.parametrize("k", range(DIRECT_MAX_K + 1))
+@pytest.mark.parametrize("k", range(65))
 def test_f_poly_routes_agree(k):
-    assert f_poly(k) == f_poly_direct(k)
+    """Interpolation against the recurrence to k = 64, and against the
+    exponential composition walk to k = 20."""
+    poly = f_poly_direct(k)
+    assert poly == f_poly(k)
+    if k <= 20:
+        assert poly == composition_f_poly(k)
 
 
 def test_composition_route_sums_integers(count_fractions):
-    """2^11 = 2048 compositions of 12, but O(k) Fractions: the sums over
-    compositions are integer, with one Fraction per coefficient."""
+    """The interpolation route takes integer values and integer forward
+    differences: O(k) Fractions, one per coefficient and its RatPoly copy."""
     k = 12
     with count_fractions() as created:
         poly = f_poly_direct(k)
@@ -198,9 +234,9 @@ def test_composition_route_sums_integers(count_fractions):
     assert len(created) <= 2 * (k + 1), len(created)
 
 
-def test_f_poly_direct_guard():
+def test_f_poly_direct_refuses_negative_k():
     with pytest.raises(ValueError):
-        f_poly_direct(25)
+        f_poly_direct(-1)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A4", "C3"])
