@@ -158,12 +158,14 @@ def f_poly(k: int) -> RatPoly:
     return RatPoly([Fraction(c, fact) for c in rows[k]])
 
 
-def f_poly_direct(k: int) -> RatPoly:
+def f_poly_direct(k: int, powers=None) -> RatPoly:
     """f_k(s) interpolated through its values at s = 0..k.
 
     f_k(s) is the x^k coefficient of the s-th Euler-product power, so
     f_k(s) = euler_power(s, k)[k] for s >= 1 and f_k(0) = [k = 0]; a
-    polynomial of degree k is fixed by these k + 1 values.  Newton's
+    polynomial of degree k is fixed by these k + 1 values.  `powers`, if
+    given, holds euler_power(s, K) for s = 1..K with K >= k, so that a
+    caller wanting every f_k up to K expands each power once.  Newton's
     forward form f_k(s) = sum_j D^j f_k(0) s(s-1)...(s-j+1) / j! is summed
     in integers as k! f_k(s), with integer differences D^j f_k(0) and the
     falling factorials expanded in powers of s; each coefficient is one
@@ -171,7 +173,9 @@ def f_poly_direct(k: int) -> RatPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    values = [int(k == 0)] + [euler_power(s, k)[k] for s in range(1, k + 1)]
+    if powers is None:
+        powers = [euler_power(s, k) for s in range(1, k + 1)]
+    values = [int(k == 0)] + [powers[s - 1][k] for s in range(1, k + 1)]
     fact = factorial(k)
     scaled = [0] * (k + 1)  # k! f_k(s), by power of s
     falling = [1]           # s(s-1)...(s-j+1), by power of s

@@ -6,8 +6,11 @@ values they compared as decimal-string witnesses.  Every library module
 (root systems, alcoves, ideals, series, wedge, type A) is imported inside
 the suites that use it, so a suite compiles only what it runs: the series
 suites `roots-f234` and `euler-char` never compile `alcove` or `ideals`.
-A suite receives exactly the arguments it names (`rs` for `--type`,
-`limits` if it reads a ceiling, `max_length` for `--max-length`, ...).
+A suite is a function of the options it names (`rs` for `--type`,
+`limits` if it reads a ceiling, `max_length` for `--max-length`, ...),
+with its defaults in its signature.  The command line and `run_suite`
+bind it through the one binder, `cli.bind`, which checks every numeric
+value, given or default, against `Limits` before the suite starts.
 """
 
 from __future__ import annotations
@@ -207,12 +210,13 @@ def suite_parity(rs: RootSystem, max_length: int = 8) -> Report:
     return rep
 
 
-def suite_gap(rs: RootSystem, max_length: int | None = None) -> Report:
+def suite_gap(rs: RootSystem,
+              max_length: int = lambda rs: rs.h_dual + 3) -> Report:
     """Alcoves outside twice the fundamental alcove are at least h_dual
-    long; Casimir at most h_dual forces membership."""
+    long; Casimir at most h_dual forces membership.  The default length
+    is worked out from the type by the binder, which checks it too."""
     from .alcove import enumerate_dominant, in_wf2
 
-    max_length = max_length if max_length is not None else rs.h_dual + 3
     rep = Report(suite="gap", type_label=rs.label,
                  params={"max_length": max_length})
     elements = enumerate_dominant(rs, max_length)
@@ -252,7 +256,7 @@ def suite_euler_char(rs: RootSystem, kmax: int = 12) -> Report:
 def suite_roots_f234(kmax: int = 12) -> Report:
     """Closed forms of the first coefficient polynomials, their integer
     roots, and agreement of the recurrence and interpolation routes."""
-    from .series import RatPoly, f_poly, f_poly_direct
+    from .series import RatPoly, euler_power, f_poly, f_poly_direct
 
     f2 = RatPoly([0, Fraction(-3, 2), Fraction(1, 2)])
     f3 = RatPoly([0, Fraction(-8, 6), Fraction(9, 6), Fraction(-1, 6)])
@@ -268,7 +272,9 @@ def suite_roots_f234(kmax: int = 12) -> Report:
         rep.add(f"f{k}-integer-roots",
                 all(poly(r) == 0 for r in roots) and poly(0) == 0,
                 {"roots": (0,) + roots})
-    agree = all(f_poly(k) == f_poly_direct(k) for k in range(kmax + 1))
+    # Every f_k, k <= kmax, reads its values at s = 1..k off one table.
+    powers = [euler_power(s, kmax) for s in range(1, kmax + 1)]
+    agree = all(f_poly(k) == f_poly_direct(k, powers) for k in range(kmax + 1))
     # The second route interpolates Euler-power values; the claim keeps its
     # old name because the recorded benchmark digests hash it.
     rep.add("recurrence-matches-composition-route", agree, {"kmax": kmax})
@@ -386,32 +392,9 @@ SUITES = {name[6:].replace("_", "-"): fn
           for name, fn in list(globals().items()) if name.startswith("suite_")}
 
 
-def _flag(arg: str) -> str:
-    return "--type" if arg == "rs" else "--" + arg.replace("_", "-")
-
-
-def bind_arguments(name: str, type_label: str | None, limits: Limits,
-                   **options) -> dict:
-    """The arguments suite `name` names, by name: `rs` (still a label),
-    `limits`, and the options given (not None); refuses any other."""
-    code = SUITES[name].__code__
-    takes = code.co_varnames[:code.co_argcount]
-    given = {k: v for k, v in dict(options, rs=type_label).items()
-             if v is not None}
-    extra = [_flag(a) for a in given if a not in takes]
-    if extra:
-        flags = ", ".join(_flag(a) for a in takes if a != "limits")
-        raise ValueError(f"suite {name!r} does not take {', '.join(extra)}; "
-                         f"it takes {flags or 'no options'}")
-    if "rs" in takes and not type_label:
-        raise ValueError(f"suite {name!r} requires a type label")
-    return dict(given, limits=limits) if "limits" in takes else given
-
-
 def run_suite(name: str, type_label: str | None, limits: Limits,
               **options) -> Report:
-    kwargs = bind_arguments(name, type_label, limits, **options)
-    if "rs" in kwargs:
-        from .rootsystem import parse_type
-        kwargs["rs"] = parse_type(type_label)
-    return SUITES[name](**kwargs)
+    from .cli import bind
+
+    fn = SUITES[name]
+    return fn(**bind(f"suite {name!r}", fn, limits, rs=type_label, **options))

@@ -10,8 +10,8 @@ import json
 import time
 from contextlib import redirect_stdout
 
-from alcoves.alcove import (chi_at_type_rho, counts_by_length,
-                            enumerate_dominant, finite_part_length, in_wf2,
+from alcoves.alcove import (chi_at_type_rho, enumerate_dominant,
+                            finite_part_length, in_wf2,
                             two_rho_pairing_killing)
 from alcoves.cli import main
 from alcoves.ideals import enumerate_abelian_ideals
@@ -19,8 +19,8 @@ from alcoves.limits import Limits
 from alcoves.report import PASS
 from alcoves.rootsystem import (casimir_eigenvalue, heisenberg_count,
                                 parse_type, weyl_dimension)
-from alcoves.series import (RatPoly, alcove_coefficient_series, bigraded_dims,
-                            bott_series, euler_power, f_poly, f_poly_direct)
+from alcoves.series import (RatPoly, alcove_coefficient_series, euler_power,
+                            f_poly, f_poly_direct)
 from alcoves.suites import run_suite
 from alcoves.typea import count_null_cores, null_core_count_expected, \
     verify_null_core_bijection
@@ -130,13 +130,13 @@ def test_criterion_06_loop_space_counts():
     with Budget("criterion 6: alcove counts match the exponent series to "
                 "t^12; ideal counts match below h_dual", 300):
         for label in ["A1", "A2", "A3", "B2", "G2", "C3", "D4"]:
-            rs = parse_type(label)
-            series = bott_series(rs, 12)
-            assert counts_by_length(rs, 12) == list(series.coeffs), label
-            ideals = enumerate_abelian_ideals(rs)
-            for k in range(rs.h_dual):
-                assert sum(1 for xi in ideals if xi.k == k) == series[k], \
-                    (label, k)
+            # One check per length 0..12, then one per ideal size below h_dual.
+            report = run_suite("bott", label, Limits(), max_length=12)
+            assert len(report.checks) == 13, label
+            _assert_all_pass(report, label)
+            report = run_suite("betti-ideals", label, Limits())
+            assert len(report.checks) == parse_type(label).h_dual, label
+            _assert_all_pass(report, label)
 
 
 def test_criterion_07_subset_norm_bound():
@@ -184,13 +184,12 @@ def test_criterion_10_bigraded_euler_characteristic():
     with Budget("criterion 10: bigraded alternating sums equal the "
                 "coefficients (k <= 12)", 300):
         for label in ["A1", "A2", "G2", "A4"]:
-            rs = parse_type(label)
-            table = bigraded_dims(rs.dim_g, 12, 12)
-            series = euler_power(rs.dim_g, 12)
-            for k in range(13):
-                assert table.euler_characteristic(k) == series[k], (label, k)
-            for k in range(min(12, rs.h_dual) + 1):
-                assert table.entry(k, k) >= (-1) ** k * series[k], (label, k)
+            # An alternating sum for each k <= 12, then a corner bound for
+            # each k <= min(12, h_dual).
+            report = run_suite("euler-char", label, Limits(), kmax=12)
+            assert len(report.checks) == \
+                13 + min(12, parse_type(label).h_dual) + 1, label
+            _assert_all_pass(report, label)
 
 
 def test_criterion_11_null_core_suite():

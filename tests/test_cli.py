@@ -166,6 +166,8 @@ SIZE_ERRORS = [
                   "--cas-ceiling", "100000"], None,
                  ["--cas-ceiling 100000", "max_length ceiling 64"],
                  id="sign-cas-ceiling-unbounded"),
+    pytest.param(["fk", "--kmax", "0", "--lehmer"], None,
+                 ["--kmax 0", "minimum 1"], id="fk-lehmer-kmax-zero"),
     pytest.param(["verify", "--suite", "roots-f234", "--kmax", "129"], None,
                  ["--kmax 129", "max_order ceiling 128"],
                  id="roots-f234-kmax-over-max-order"),
@@ -243,22 +245,76 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
 
 
 def test_every_range_ceiling_is_a_limits_field():
-    """Each maximum `_ranges` can set, for every command and suite, is a
-    field of `Limits`, so no scale ceiling lives outside it."""
-    from alcoves.cli import _COMMANDS, _build_parser, _ranges
+    """Every integer argument of every command and suite has a range in
+    `_ranges`, under every `--method` and with or without `--lehmer`, and
+    each maximum it can set is a field of `Limits`, so no scale ceiling
+    lives outside it."""
+    from alcoves.cli import LISTINGS, _ranges
     from alcoves.limits import FIELDS
 
-    argvs = [["coeffs", "--type", "A1", "--method", method]
-             for method in ("series", "alcove", "both")]
-    argvs += [["alcoves", "--type", "A1"], ["ideals", "--type", "A1"],
-              ["fk"], ["mcore", "--m", "3"]]
-    argvs += [["verify", "--suite", suite] for suite in SUITE_NAMES]
-    assert {argv[0] for argv in argvs} == set(_COMMANDS)
-    parser = _build_parser()
-    for argv in argvs:
-        ranges = _ranges(parser.parse_args(argv), Limits())
-        ceilings = {ceiling for _, _, ceiling in ranges.values() if ceiling}
-        assert ceilings <= set(FIELDS), (argv, ceilings)
+    functions = {**LISTINGS, **SUITES}
+    assert len(functions) == 19
+    # `--eval` is the point f_k is evaluated at, not a size.
+    sizes = {a for fn in functions.values() for a in arguments(fn)
+             if fn.__annotations__[a] in ("int", "int | None")} - {"eval_at"}
+    for method in ("series", "alcove", "both"):
+        for lehmer in (False, True):
+            ranges = _ranges({"method": method, "lehmer": lehmer}, Limits())
+            assert set(ranges) == sizes
+            ceilings = {ceiling for _, _, ceiling in ranges.values() if ceiling}
+            assert ceilings <= set(FIELDS), (method, lehmer, ceilings)
+
+
+# Each command and suite, run with its defaults (and --type A2) under a
+# lowered max_length and max_order: the field its default is over, or
+# None where every default fits.  gap's default, h_dual + 3 = 6 on A2, is
+# worked out from the type.
+LOWERED = {"max_length": 5, "max_order": 4}
+DEFAULT_OVER = {
+    "coeffs": "max_order", "alcoves": "max_length", "ideals": None,
+    "fk": "max_order", "peterson": None, "seven-numbers": None,
+    "bott": "max_length", "betti-ideals": None, "subset-bound": None,
+    "root-partitions": "max_length", "ideal-chains": "max_length",
+    "parity": "max_length", "gap": "max_length", "euler-char": "max_order",
+    "roots-f234": "max_order", "interpolation": None, "mcore": "max_length",
+    "sign": "max_length", "bijection": None,
+}
+
+
+@pytest.mark.parametrize("name,field", sorted(DEFAULT_OVER.items()))
+def test_defaults_are_checked_against_the_limits(capsys, monkeypatch, tmp_path,
+                                                 name, field):
+    from alcoves.cli import LISTINGS
+
+    assert set(DEFAULT_OVER) == set(LISTINGS) | set(SUITES)
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps(LOWERED))
+    monkeypatch.setenv("ALCOVES_LIMITS", str(path))
+    fn = LISTINGS.get(name) or SUITES[name]
+    argv = [name] if name in LISTINGS else ["verify", "--suite", name]
+    if "rs" in arguments(fn):
+        argv += ["--type", "A2"]
+    if field is not None:
+        def no_work(*args):
+            raise AssertionError(f"work started: {args}")
+
+        # gap needs the root system for its default, and nothing more.
+        monkeypatch.setattr("alcoves.alcove.enumerate_dominant" if name == "gap"
+                            else "alcoves.rootsystem.parse_type", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    if field is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert f"{field} ceiling {LOWERED[field]}" in err, err
+
+
+def test_run_suite_binds_like_the_command_line():
+    with pytest.raises(ValueError, match="--max-length 6 exceeds the "
+                                         "max_length ceiling 5"):
+        run_suite("gap", "A2", Limits(max_length=5))
+    with pytest.raises(ValueError, match="suite 'peterson' does not take --kmax"):
+        run_suite("peterson", "A2", Limits(), kmax=3)
 
 
 # The flags each suite takes: one per argument its function names, with

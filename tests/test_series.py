@@ -234,6 +234,26 @@ def test_composition_route_sums_integers(count_fractions):
     assert len(created) <= 2 * (k + 1), len(created)
 
 
+def test_roots_f234_expands_each_power_once(monkeypatch):
+    """The suite reads every f_k, k <= kmax, off one table of kmax
+    expansions, and gives the routes' verdict from it."""
+    import alcoves.series
+    from alcoves.limits import Limits
+    from alcoves.suites import run_suite
+
+    calls = []
+
+    def counted(e, order):
+        calls.append((e, order))
+        return euler_power(e, order)
+
+    monkeypatch.setattr(alcoves.series, "euler_power", counted)
+    report = run_suite("roots-f234", None, Limits(), kmax=40)
+    assert sorted(calls) == [(s, 40) for s in range(1, 41)]
+    checks = {c.claim: c.status for c in report.checks}
+    assert checks["recurrence-matches-composition-route"] == "pass"
+
+
 def test_f_poly_direct_refuses_negative_k():
     with pytest.raises(ValueError):
         f_poly_direct(-1)
