@@ -10,79 +10,51 @@ is byte-identical across repeated identical invocations: fixed ordering,
 decimal-string integers, no timestamps.
 
 Every command runs a function of its named options, whose defaults are
-in its signature: `cmd_*` below for the listings, `suites.SUITES` for
-`verify` and `mcore`.  One binder, `bind`, calls each of them: it
-refuses an option the function does not take, fills in the defaults,
-checks every numeric value, given or default, and the rank behind --type
-and --m against `Limits`, parses --type once, and passes `limits` only
-to a function that names it; all before any work starts.
+in its signature: `cmd_*` below for the listings, the suite that
+--suite names for `verify` (`mcore` is `verify --suite mcore`).  The
+flags of a command are read straight off that signature: the argument
+`max_length` is --max-length, `rs` is --type and `eval_at` is --eval; an
+`int` annotation converts the value, a `bool` one makes a bare switch,
+and a value is given as `--name value` or `--name=value`.  -h and --help
+print the flags of every command from the signatures.  A usage error
+exits 2 with one line naming the flag.  One binder, `bind`, then calls
+the function: it fills in the defaults, checks every numeric value,
+given or default, and the rank behind --type and --m against `Limits`,
+parses --type once, and passes `limits` only to a function that names
+it; all before any work starts.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 # The package modules are imported inside the function that uses them, so
 # that a command compiles only what it runs.
 
-# The names of `suites.SUITES`, sorted, kept here so that building the
-# parser imports no suite.
-SUITE_NAMES = ("betti-ideals", "bijection", "bott", "euler-char", "gap",
-               "ideal-chains", "interpolation", "mcore", "parity", "peterson",
-               "root-partitions", "roots-f234", "seven-numbers", "sign",
-               "subset-bound")
+# Arguments whose flag is not their name with dashes.
+_RENAMED = {"rs": "--type", "eval_at": "--eval"}
+# Switches every command takes, besides the arguments of its function.
+SWITCHES = {"summary": "print a human-readable table instead of JSON",
+            "allow_big": "multiply all scale ceilings by 100"}
+# The values a string argument may take.
+CHOICES = {"method": ("series", "alcove", "both")}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--summary", action="store_true",
-                        help="print a human-readable table instead of JSON")
-    common.add_argument("--allow-big", action="store_true",
-                        help="multiply all scale ceilings by 100")
-    parser = argparse.ArgumentParser(
-        prog="alcoves",
-        description="Exact Euler-product coefficients via dominant alcoves, "
-                    "abelian Borel ideals, and exterior-algebra checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flag(name: str) -> str:
+    return _RENAMED.get(name) or "--" + name.replace("_", "-")
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
 
-    # No defaults here: the function that runs the command has them.
-    p = add_parser("coeffs", help="Euler-product power coefficients")
-    p.add_argument("--type", required=True, dest="rs")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--method", choices=("series", "alcove", "both"))
+def _signature(fn) -> tuple:
+    """The names of the arguments of `fn`, and their defaults."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    return names, dict(zip(names[len(names) - len(defaults):], defaults))
 
-    p = add_parser("alcoves", help="list dominant alcoves by length")
-    p.add_argument("--type", required=True, dest="rs")
-    p.add_argument("--max-length", type=int)
-    p.add_argument("--wf2-only", action="store_true")
 
-    p = add_parser("ideals", help="list abelian ideals of the Borel")
-    p.add_argument("--type", required=True, dest="rs")
-
-    p = add_parser("fk", help="coefficient polynomials of arbitrary powers")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--eval", type=int, dest="eval_at")
-    p.add_argument("--lehmer", action="store_true",
-                   help="probe f_k(24) for zeros up to kmax")
-
-    p = add_parser("mcore", help="null-core counts and the weight map")
-    p.set_defaults(suite="mcore")  # `verify --suite mcore` with --m required
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--max-length", type=int)
-
-    p = add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--type", dest="rs")
-    p.add_argument("--max-length", type=int)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--cas-ceiling", type=int)
-    p.add_argument("--m", type=int)
-    return parser
+def _untaken(what: str, flags, takes) -> ValueError:
+    return ValueError(f"{what} does not take {', '.join(flags)}; it takes "
+                      f"{', '.join(map(_flag, takes)) or 'no options'}")
 
 
 def _ranges(values: dict, limits: Limits) -> dict:
@@ -102,20 +74,20 @@ def _ranges(values: dict, limits: Limits) -> dict:
     }
 
 
-def _flag(name: str) -> str:
-    return "--type" if name == "rs" else "--" + name.replace("_", "-")
-
-
-def _check_ranges(values: dict, limits: Limits) -> None:
+def _check_values(values: dict, given, limits: Limits) -> None:
+    for name, allowed in CHOICES.items():
+        if name in values and values[name] not in allowed:
+            raise ValueError(f"{_flag(name)} {values[name]} is not one of "
+                             f"{', '.join(allowed)}")
     for name, (low, high, ceiling) in _ranges(values, limits).items():
         value = values.get(name)
-        if type(value) is not int:  # not given, or worked out from the type
+        if type(value) is not int:  # not taken, or worked out from the type
             continue
+        shown = f"{_flag(name)} {value}" + ("" if name in given else " (the default)")
         if value < low:
-            raise ValueError(f"{_flag(name)} {value} is below the minimum {low}")
+            raise ValueError(f"{shown} is below the minimum {low}")
         if high is not None and value > high:
-            raise ValueError(
-                f"{_flag(name)} {value} exceeds the {ceiling} ceiling {high}")
+            raise ValueError(f"{shown} exceeds the {ceiling} ceiling {high}")
 
 
 def _check_rank(option: str, rank: int, limits: Limits) -> None:
@@ -124,24 +96,20 @@ def _check_rank(option: str, rank: int, limits: Limits) -> None:
                          f"ceiling {limits.max_rank}")
 
 
-def bind(what: str, fn, limits: Limits, **options) -> dict:
+def bind(what: str, fn, limits: Limits, **given) -> dict:
     """The keyword arguments that run `fn`, the function of command or
-    suite `what`, from the options given (those not None).  A default that
-    is a function of the root system is worked out, and checked, once the
-    type is parsed; `limits` is passed only if `fn` names it."""
-    code = fn.__code__
-    takes = code.co_varnames[:code.co_argcount]
-    given = {name: v for name, v in options.items() if v is not None}
+    suite `what`, from the options given.  A default that is a function of
+    the root system is worked out, and checked, once the type is parsed;
+    `limits` is passed only if `fn` names it."""
+    names, defaults = _signature(fn)
+    takes = [name for name in names if name != "limits"]
     extra = [_flag(name) for name in given if name not in takes]
     if extra:
-        flags = ", ".join(_flag(name) for name in takes if name != "limits")
-        raise ValueError(f"{what} does not take {', '.join(extra)}; "
-                         f"it takes {flags or 'no options'}")
+        raise _untaken(what, extra, takes)
     if "rs" in takes and "rs" not in given:
         raise ValueError(f"{what} requires a type label")
-    defaults = fn.__defaults__ or ()
-    values = dict(zip(takes[len(takes) - len(defaults):], defaults), **given)
-    _check_ranges(values, limits)
+    values = dict(defaults, **given)
+    _check_values(values, given, limits)
     if "m" in values:  # the m-core suite builds A_{m-1}
         _check_rank(f"--m {values['m']}", values["m"] - 1, limits)
     if "rs" in values:
@@ -150,13 +118,14 @@ def bind(what: str, fn, limits: Limits, **options) -> dict:
         _check_rank(f"--type {label}", parse_label(label)[1], limits)
         rs = values["rs"] = parse_type(label)
         values = {name: v(rs) if callable(v) else v for name, v in values.items()}
-        _check_ranges(values, limits)
-    if "limits" in takes:
+        _check_values(values, given, limits)
+    if "limits" in names:
         values["limits"] = limits
     return values
 
 
 def cmd_coeffs(rs: RootSystem, kmax: int = 10, method: str = "both") -> Report:
+    """Euler-product power coefficients."""
     from .report import Report
     from .series import alcove_coefficient_series, euler_power
 
@@ -183,6 +152,7 @@ def cmd_coeffs(rs: RootSystem, kmax: int = 10, method: str = "both") -> Report:
 
 def cmd_alcoves(rs: RootSystem, max_length: int = 6,
                 wf2_only: bool = False) -> Report:
+    """Dominant alcoves by length."""
     from .alcove import enumerate_dominant, in_wf2
     from .report import Report
     from .rootsystem import weyl_dimension
@@ -200,6 +170,7 @@ def cmd_alcoves(rs: RootSystem, max_length: int = 6,
 
 
 def cmd_ideals(rs: RootSystem) -> Report:
+    """Abelian ideals of the Borel."""
     from .alcove import chi_at_type_rho
     from .ideals import enumerate_abelian_ideals, ideal_to_sigma
     from .report import Report
@@ -220,6 +191,7 @@ def cmd_ideals(rs: RootSystem) -> Report:
 
 def cmd_fk(kmax: int = 8, eval_at: int | None = None,
            lehmer: bool = False) -> Report:
+    """Coefficient polynomials f_k; --lehmer looks for a zero at 24."""
     from .report import Report
     from .series import f_poly, lehmer_probe
 
@@ -242,28 +214,133 @@ def cmd_fk(kmax: int = 8, eval_at: int | None = None,
     return rep
 
 
-# The commands that are not suites; `verify` and `mcore` run `suites.SUITES`.
+# The commands that are not suites.  `verify` runs the suite --suite
+# names; `mcore` is `verify --suite mcore`.
 LISTINGS = {"coeffs": cmd_coeffs, "alcoves": cmd_alcoves, "ideals": cmd_ideals,
             "fk": cmd_fk}
+COMMANDS = (*LISTINGS, "mcore", "verify")
+
+
+def _tokens(args) -> dict:
+    """Flag -> its value, or None for a flag given bare."""
+    options = {}
+    i = 0
+    while i < len(args):
+        flag, eq, value = args[i].partition("=")
+        if not flag.startswith("--"):
+            raise ValueError(f"unexpected argument {args[i]!r}")
+        if not eq:
+            value = None
+            if i + 1 < len(args) and not args[i + 1].startswith("--"):
+                i += 1
+                value = args[i]
+        options[flag] = value
+        i += 1
+    return options
+
+
+def parse(argv) -> tuple:
+    """(what, fn, options) for a command line: the function that runs it,
+    what to call it in an error, and the options given by argument name,
+    each converted by its annotation."""
+    command = argv[0] if argv else ""
+    options = _tokens(argv[1:])
+    if command in LISTINGS:
+        fn, what = LISTINGS[command], f"command {command!r}"
+    elif command in ("mcore", "verify"):
+        from .suites import MODULES, load
+        name = options.pop("--suite", None) if command == "verify" else "mcore"
+        if name not in MODULES:
+            problem = f"--suite {name} is not a suite" if name else \
+                "verify requires --suite NAME"
+            raise ValueError(f"{problem}; choose from {', '.join(MODULES)}")
+        fn, what = load(name), f"suite {name!r}"
+    else:
+        problem = f"unknown command {command!r}" if command else "no command"
+        raise ValueError(f"{problem}; choose from {', '.join(COMMANDS)}")
+    names, _ = _signature(fn)
+    by_flag = {_flag(name): name for name in (*names, *SWITCHES) if name != "limits"}
+    extra = [flag for flag in options if flag not in by_flag]
+    if extra:
+        raise _untaken(what, extra, [name for name in names if name != "limits"])
+    given = {}
+    for flag, value in options.items():
+        name = by_flag[flag]
+        kind = "bool" if name in SWITCHES else fn.__annotations__.get(name, "str")
+        if kind == "bool":
+            if value is not None:
+                raise ValueError(f"{flag} takes no value, not {value!r}")
+            value = True
+        elif value is None:
+            raise ValueError(f"{flag} needs a value")
+        elif kind.startswith("int"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{flag} takes an integer, not {value!r}") from None
+        given[name] = value
+    return what, fn, given
+
+
+def _synopsis(fn) -> str:
+    """The flags of `fn`, from its signature: [--name VALUE=default]."""
+    names, defaults = _signature(fn)
+    words = []
+    for name in names:
+        if name == "limits":
+            continue
+        if fn.__annotations__.get(name) == "bool":
+            words.append(f"[{_flag(name)}]")
+            continue
+        value = "|".join(CHOICES[name]) if name in CHOICES else \
+            "LABEL" if name == "rs" else "N"
+        if name not in defaults:
+            words.append(f"{_flag(name)} {value}")
+            continue
+        default = defaults[name]
+        shown = "=type-dependent" if callable(default) else \
+            "" if default is None else f"={default}"
+        words.append(f"[{_flag(name)} {value}{shown}]")
+    return " ".join(words)
+
+
+def usage() -> str:
+    """The help text: every command and suite with its flags."""
+    from .suites import SUITES
+
+    lines = """\
+usage: alcoves COMMAND [--flag VALUE | --flag=VALUE | --switch]...
+
+Exact Euler-product coefficients via dominant alcoves, abelian Borel ideals,
+and exterior-algebra checks.  The flags of a command are the arguments of
+the function that runs it; a bracketed flag shows its default.
+
+commands:""".split("\n")
+    for name, fn in LISTINGS.items():
+        lines += [f"  {name:<9}{_synopsis(fn)}",
+                  f"  {'':<9}{' '.join(fn.__doc__.split())}"]
+    lines += ["  mcore    the same as verify --suite mcore",
+              "  verify   --suite NAME, and the flags of that suite:"]
+    lines += [f"    {name:<17}{_synopsis(fn)}".rstrip()
+              for name, fn in SUITES.items()]
+    lines += ["", "every command also takes:"]
+    lines += [f"  {_flag(name):<13}{text}" for name, text in SWITCHES.items()]
+    lines += [f"  {'-h, --help':<13}print this help", ""]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage())
+        return 0
     try:
-        options = vars(_build_parser().parse_args(argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    command, suite = options.pop("command"), options.pop("suite", None)
-    summary, allow_big = options.pop("summary"), options.pop("allow_big")
-    try:
+        what, fn, options = parse(argv)
+        summary = options.pop("summary", False)
         from .limits import load_limits
         limits = load_limits()
-        if allow_big:
+        if options.pop("allow_big", False):
             limits = limits.embiggen()
-        if suite is None:
-            fn, what = LISTINGS[command], f"command {command!r}"
-        else:
-            from .suites import SUITES
-            fn, what = SUITES[suite], f"suite {suite!r}"
         report = fn(**bind(what, fn, limits, **options))
     except (ValueError, KeyError, LookupError) as exc:
         sys.stderr.write(f"error: {exc}\n")

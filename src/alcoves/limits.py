@@ -7,7 +7,6 @@ the ALCOVES_LIMITS environment variable overrides individual fields, and
 
 from __future__ import annotations
 
-import json
 import os
 
 ENV_VAR = "ALCOVES_LIMITS"
@@ -68,6 +67,8 @@ def load_limits(path: str | None = None) -> Limits:
     path = path or os.environ.get(ENV_VAR)
     if not path:
         return Limits()
+    import json  # only when a limits file is named
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

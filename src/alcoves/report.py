@@ -4,21 +4,50 @@ A report is a list of check records plus identifying metadata.  The
 canonical serialization is key-sorted JSON with LF line endings and all
 numeric witness values rendered as decimal strings, so identical
 invocations produce byte-identical documents and no consumer ever has
-to parse a big integer.
+to parse a big integer.  Since every leaf is a string, `canonical`
+writes the fixed schema itself, byte for byte what `json.dumps(as_dict(),
+sort_keys=True, indent=2, ensure_ascii=False)` would, without loading
+`json`.
 """
 
 from __future__ import annotations
-
-import json
 
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped"
 
+# JSON string escapes with ensure_ascii=False: the quote, the backslash
+# and the C0 controls; everything else, U+007F and U+2028 too, is kept.
+_ESCAPES = str.maketrans({
+    **{chr(i): f"\\u{i:04x}" for i in range(0x20)},
+    "\b": "\\b", "\t": "\\t", "\n": "\\n", "\f": "\\f", "\r": "\\r",
+    '"': '\\"', "\\": "\\\\"})
+
+
+def _quote(text: str) -> str:
+    # A printable string holds no control character; most need no escape.
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + text.translate(_ESCAPES) + '"'
+
+
+def _block(items: list, pad: str, brackets: str = "{}") -> str:
+    """A JSON object or array of rendered items, indented by `pad`."""
+    if not items:
+        return brackets
+    inner = f",\n{pad}  ".join(items)
+    return f"{brackets[0]}\n{pad}  {inner}\n{pad}{brackets[1]}"
+
+
+def _strings(mapping: dict, pad: str) -> str:
+    """A JSON object of `mapping`'s values as strings, keys sorted."""
+    return _block([f"{_quote(k)}: {_quote(_stringify(v))}"
+                   for k, v in sorted(mapping.items())], pad)
+
 
 def _stringify(value) -> str:
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_stringify(v) for v in value) + "]"
+        return "[" + ", ".join([_stringify(v) for v in value]) + "]"
     return str(value)
 
 
@@ -86,8 +115,16 @@ class Report:
         }
 
     def canonical(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2,
-                          ensure_ascii=False) + "\n"
+        checks = [_block([f'"claim": {_quote(c.claim)}',
+                          *([f'"detail": {_quote(c.detail)}'] if c.detail else []),
+                          f'"status": {_quote(c.status)}',
+                          f'"witness": {_strings(c.witness, "      ")}'], "    ")
+                  for c in self.checks]
+        return _block([f'"checks": {_block(checks, "  ", "[]")}',
+                       f'"overall": {_quote(self.overall)}',
+                       f'"params": {_strings(self.params, "  ")}',
+                       f'"suite": {_quote(self.suite)}',
+                       f'"type": {_quote(self.type_label)}'], "") + "\n"
 
     def summary(self) -> str:
         """Human-readable table: one line per check."""

@@ -13,15 +13,18 @@ eigenvalues and wall evaluations are stated, is (x, y)_K = pair(x, y) /
 (2 * scale) with scale = h_dual * pair(psi, psi) / 2.  A weight pairs with
 a root as (lambda, x) = sum_i lambda_i sym_i x_i in the same units.
 Division happens only where a value is reported as a rational.
+
+A root system is built in integers: the symmetrizers by propagation
+along the Dynkin diagram, and the inverse Cartan matrix as (adj, den),
+cleared by its least common denominator, by fraction-free elimination.
+The rational `cartan_inv` is derived from it on first use, so building
+a type imports neither `fractions` nor `linalg`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-
-from .linalg import invert_rational
+from math import gcd
 
 FAMILIES = "ABCDEFG"
 
@@ -109,7 +112,8 @@ class RootSystem(FrozenRecord):
     (family, rank) by `build_root_system`."""
 
     __slots__ = (
-        "family", "rank", "cartan", "cartan_inv",
+        "family", "rank", "cartan",
+        "inverse",          # (adj, den): den * cartan^-1, den least
         "positive_roots",   # coordinate vectors in the simple-root basis
         "highest_root",     # index of psi in positive_roots
         "sym",              # symmetrizers: sym_i * a_ij is symmetric
@@ -154,6 +158,11 @@ class RootSystem(FrozenRecord):
 
     # -- coordinate conversions -----------------------------------------
 
+    @property
+    def cartan_inv(self) -> tuple:
+        """The inverse Cartan matrix, as Fractions."""
+        return _cartan_inv(self)
+
     def weight_to_root_coords(self, weight) -> tuple:
         inv = self.cartan_inv
         return tuple(sum(inv[i][j] * weight[j] for j in range(self.rank))
@@ -169,6 +178,14 @@ class RootSystem(FrozenRecord):
     def is_dominant_integral(self, weight) -> bool:
         return len(weight) == self.rank and \
             all(x == int(x) and x >= 0 for x in weight)
+
+
+@lru_cache(maxsize=None)
+def _cartan_inv(rs: RootSystem) -> tuple:
+    from fractions import Fraction
+
+    adj, den = rs.inverse
+    return tuple(tuple(Fraction(a, den) for a in row) for row in adj)
 
 
 def _pair(cartan, sym, x, y) -> int:
@@ -206,6 +223,52 @@ def _positive_roots_by_closure(cartan, rank):
                         new.append(t)
         frontier = new
     return sorted(roots, key=lambda c: (sum(c), c))
+
+
+def _symmetrizers(cartan, rank) -> tuple:
+    """The smallest positive integers sym with sym_i a_ij = sym_j a_ji,
+    propagated along the Dynkin diagram: where sym_i a_ij is not a
+    multiple of a_ji, every value set so far is scaled by |a_ji| first."""
+    sym = [0] * rank
+    sym[0] = 1
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(rank):
+            if j != i and cartan[i][j] != 0 and not sym[j]:
+                if sym[i] * cartan[i][j] % cartan[j][i]:
+                    sym = [x * abs(cartan[j][i]) for x in sym]
+                sym[j] = sym[i] * cartan[i][j] // cartan[j][i]
+                todo.append(j)
+    if not all(sym):
+        raise AssertionError("Dynkin diagram is not connected")
+    g = gcd(*sym)
+    return tuple(x // g for x in sym)
+
+
+def _cleared_inverse(cartan) -> tuple:
+    """(adj, den) with adj = den * cartan^-1 in integers and den the least
+    common denominator, by fraction-free Gauss-Jordan elimination: after
+    step k the leading k x k block is the k-th leading principal minor
+    times the identity, and every division is exact.  A finite-type
+    Cartan matrix has positive leading principal minors, so no pivoting."""
+    n = len(cartan)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(cartan)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            raise AssertionError("Cartan matrix is not positive definite")
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(rows[i], rows[k])]
+        prev = pivot
+    # cartan^-1 = adjugate / det; divide both by their common factor.
+    g = gcd(prev, *(x for row in rows for x in row[n:]))
+    return tuple(tuple(x // g for x in row[n:]) for row in rows), prev // g
 
 
 def _exponents(heights) -> tuple:
@@ -249,22 +312,7 @@ def _build_root_system(family: str, rank: int) -> RootSystem:
         if any(x < 0 for x in diff):
             raise AssertionError("highest root is not maximal")
 
-    # Symmetrizers d_i a_ij = d_j a_ji, propagated along the Dynkin
-    # diagram, then cleared to the smallest positive integers.
-    d = [None] * rank
-    d[0] = Fraction(1)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(rank):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                todo.append(j)
-    if any(x is None for x in d):
-        raise AssertionError("Dynkin diagram is not connected")
-    den = lcm(*(x.denominator for x in d))
-    sym = [x.numerator * (den // x.denominator) for x in d]
-    sym = tuple(x // gcd(*sym) for x in sym)
+    sym = _symmetrizers(cartan, rank)
     if any(sym[i] * cartan[i][j] != sym[j] * cartan[j][i]
            for i in range(rank) for j in range(rank)):
         raise AssertionError("symmetrized Cartan matrix is not symmetric")
@@ -290,7 +338,7 @@ def _build_root_system(family: str, rank: int) -> RootSystem:
 
     return RootSystem(
         family=family, rank=rank, cartan=cartan,
-        cartan_inv=invert_rational(cartan),
+        inverse=_cleared_inverse(cartan),
         positive_roots=tuple(positive), highest_root=psi_idx,
         sym=sym, scale=h_dual * psi_norm // 2,
         h=h, h_dual=h_dual, exponents=exponents, dim_g=dim_g,
@@ -318,6 +366,8 @@ def casimir_eigenvalue(rs: RootSystem, weight) -> Fraction:
 
     Requires a dominant integral weight; the highest root always gives 1.
     """
+    from fractions import Fraction
+
     if not rs.is_dominant_integral(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
     c = rs.weight_to_root_coords(weight)
@@ -339,13 +389,9 @@ def _coroot_coords(rs: RootSystem, root_coords) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _integer_inverse(rs: RootSystem):
     """(adj, den) with adj = den * cartan_inv, all integers."""
-    den = lcm(*(v.denominator for row in rs.cartan_inv for v in row))
-    adj = tuple(tuple(v.numerator * (den // v.denominator) for v in row)
-                for row in rs.cartan_inv)
-    return adj, den
+    return rs.inverse
 
 
 def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int):

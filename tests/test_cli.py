@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from alcoves.cli import SUITE_NAMES, main
+from alcoves.cli import main
 from alcoves.limits import Limits, load_limits
 from alcoves.suites import SUITES, run_suite
 
@@ -127,8 +128,87 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert code == 2
 
 
-def test_suite_choices_are_the_suite_table():
-    assert SUITE_NAMES == tuple(sorted(SUITES))
+# The flags of each listing command, from its function's signature.
+LISTING_OPTIONS = {
+    "coeffs": ("--type", "--kmax", "--method"),
+    "alcoves": ("--type", "--max-length", "--wf2-only"),
+    "ideals": ("--type",),
+    "fk": ("--kmax", "--eval", "--lehmer"),
+}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"],
+                                  ["coeffs", "--type", "A2", "-h"]],
+                         ids=["h", "help", "verify-help", "coeffs-h"])
+def test_help_lists_every_command_suite_and_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+
+    def line_of(name, indent):
+        found = [line for line in lines
+                 if line.startswith(indent + name + " ") or line == indent + name]
+        assert len(found) == 1, (name, found)
+        return found[0] + " "
+
+    for command in ("coeffs", "alcoves", "ideals", "fk", "mcore", "verify"):
+        line_of(command, "  ")
+    for name, flags in [*LISTING_OPTIONS.items(), *SUITE_OPTIONS.items()]:
+        line = line_of(name, "  " if name in LISTING_OPTIONS else "    ")
+        for flag in flags:
+            assert re.search(re.escape(flag) + r"[ =\]]", line), (name, flag)
+    assert "--summary" in out and "--allow-big" in out
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["verify", "--suite", "roots-f234", "--kmax", "12"],
+     ["verify", "--suite=roots-f234", "--kmax=12"]),
+    (["coeffs", "--type", "A2", "--kmax", "3", "--method", "series"],
+     ["coeffs", "--type=A2", "--kmax=3", "--method=series"]),
+])
+def test_name_equals_value_is_name_space_value(capsys, spaced, joined):
+    first = run_cli(capsys, *spaced)
+    assert first[0] == 0
+    assert run_cli(capsys, *joined) == first
+
+
+# Each row: a command line with a usage error, and the words its one
+# error line must hold.
+USAGE_ERRORS = [
+    pytest.param([], ["no command", "coeffs"], id="no-command"),
+    pytest.param(["frobnicate", "--type", "A2"],
+                 ["unknown command 'frobnicate'", "verify"], id="unknown-command"),
+    pytest.param(["coeffs", "--type", "A2", "--frob", "1"],
+                 ["does not take --frob", "--kmax"], id="unknown-flag"),
+    pytest.param(["coeffs", "--type", "A2", "--kmax"], ["--kmax needs a value"],
+                 id="flag-without-value"),
+    pytest.param(["coeffs", "--kmax", "--type", "A2"], ["--kmax needs a value"],
+                 id="flag-followed-by-flag"),
+    pytest.param(["coeffs", "--type", "A2", "--kmax", "x"],
+                 ["--kmax takes an integer, not 'x'"], id="kmax-not-an-integer"),
+    pytest.param(["coeffs", "--type", "A2", "--method", "foo"],
+                 ["--method foo is not one of series, alcove, both"],
+                 id="method-not-a-choice"),
+    pytest.param(["verify", "--suite", "nonsense"],
+                 ["--suite nonsense is not a suite", "peterson"], id="unknown-suite"),
+    pytest.param(["verify", "--type", "A2"], ["--suite", "peterson"],
+                 id="verify-without-suite"),
+    pytest.param(["alcoves", "--type", "A2", "--wf2-only=yes"],
+                 ["--wf2-only takes no value"], id="switch-with-value"),
+    pytest.param(["ideals", "--type", "A2", "B2"], ["unexpected argument 'B2'"],
+                 id="stray-argument"),
+    pytest.param(["alcoves", "--type", "A2", "--max", "3"],
+                 ["does not take --max;", "--max-length"], id="no-prefix-abbreviation"),
+]
+
+
+@pytest.mark.parametrize("argv,words", USAGE_ERRORS)
+def test_usage_errors_exit_two_with_one_line(capsys, argv, words):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err, (word, err)
 
 
 def test_verify_missing_type_is_error(capsys):
@@ -171,6 +251,11 @@ SIZE_ERRORS = [
     pytest.param(["verify", "--suite", "roots-f234", "--kmax", "129"], None,
                  ["--kmax 129", "max_order ceiling 128"],
                  id="roots-f234-kmax-over-max-order"),
+    # A default over its ceiling says so: no --max-length was given.
+    pytest.param(["verify", "--suite", "bott", "--type", "A2"],
+                 {"max_length": 5},
+                 ["--max-length 12 (the default) exceeds the max_length ceiling 5"],
+                 id="bott-default-max-length-over-ceiling"),
     pytest.param(["verify", "--suite", "peterson", "--type", "A2"], "missing",
                  ["ALCOVES_LIMITS", "missing.json"],
                  id="missing-limits-file"),
@@ -310,9 +395,12 @@ def test_defaults_are_checked_against_the_limits(capsys, monkeypatch, tmp_path,
 
 
 def test_run_suite_binds_like_the_command_line():
-    with pytest.raises(ValueError, match="--max-length 6 exceeds the "
-                                         "max_length ceiling 5"):
+    with pytest.raises(ValueError, match=r"--max-length 6 \(the default\) "
+                                         "exceeds the max_length ceiling 5"):
         run_suite("gap", "A2", Limits(max_length=5))
+    with pytest.raises(ValueError, match="--max-length 7 exceeds the "
+                                         "max_length ceiling 5"):
+        run_suite("gap", "A2", Limits(max_length=5), max_length=7)
     with pytest.raises(ValueError, match="suite 'peterson' does not take --kmax"):
         run_suite("peterson", "A2", Limits(), kmax=3)
 
@@ -370,6 +458,14 @@ def test_untaken_option_exits_two_before_any_work(capsys, monkeypatch, suite,
                              *(["--type", "A2"] if typed else []))
     assert (code, out) == (2, "")
     assert f"suite {suite!r} does not take {flag};" in err, err
+
+
+@pytest.mark.parametrize("flags", [(), ("--m", "3"), ("--m", "2", "--kmax", "2"),
+                                   ("--kmax", "2", "--max-length", "4")])
+def test_mcore_is_verify_suite_mcore_with_or_without_m(capsys, flags):
+    direct = run_cli(capsys, "mcore", *flags)
+    assert direct[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "mcore", *flags) == direct
 
 
 def test_mcore_command_is_the_mcore_suite(capsys):
@@ -433,6 +529,47 @@ def test_every_check_skipped_exits_two(capsys, monkeypatch, tmp_path):
     assert {c["status"] for c in doc["checks"]} == {"skipped"}
     assert err == ("error: no check ran: 1 subsets exceed the "
                    "subset_candidates ceiling 0\n")
+
+
+# Strings that JSON escapes, or keeps although a stricter writer would not.
+AWKWARD = ['say "hi"', "back\\slash", "".join(map(chr, range(0x20))),
+           "\x7f", "\u2028\u2029", "Casimir \u2264 h\u2228, \u00e9\u00df \U0001d53c", ""]
+
+
+def as_json(report) -> str:
+    return json.dumps(report.as_dict(), sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+def test_canonical_is_the_json_of_the_report():
+    from alcoves.report import Report
+
+    empty = Report(suite="")
+    assert empty.canonical() == as_json(empty)
+    rep = Report(suite="demo\n", type_label="A2\t", params={})
+    rep.add("no-witness", True)
+    rep.add("empty-witness", False, {}, detail="")
+    rep.skip("skipped", detail="over a ceiling")
+    rep.add("nested", True, {"rows": [[1, 2], [3, [4, 5]]], "pair": (0, -1),
+                             "empty": [], "big": 10 ** 40})
+    for i, text in enumerate(AWKWARD):
+        rep.add(text, i % 2 == 0, {text: text, "k": i}, detail=text)
+    assert rep.canonical() == as_json(rep)
+    with_params = Report(suite="s", params={text: [text] for text in AWKWARD})
+    assert with_params.canonical() == as_json(with_params)
+    assert "\\u001f" in rep.canonical() and "\u2028" in rep.canonical()
+
+
+@given(texts=st.lists(st.text(), min_size=1, max_size=4),
+       statuses=st.lists(st.booleans(), max_size=3))
+def test_canonical_matches_json_on_any_text(texts, statuses):
+    from alcoves.report import Report
+
+    rep = Report(suite=texts[0], type_label=texts[-1],
+                 params={t: t for t in texts})
+    for ok in statuses:
+        rep.add(texts[0], ok, {t: [t, texts] for t in texts}, detail=texts[-1])
+    assert rep.canonical() == as_json(rep)
 
 
 def test_report_exit_code_reads_passes_skips_and_failures():
@@ -511,16 +648,15 @@ def test_summary_mode(capsys):
 
 
 def test_exit_code_one_on_failure(capsys, monkeypatch):
-    # Sabotage one suite to confirm the failure path propagates.
-    import alcoves.suites as suites
-
+    # Sabotage one suite to confirm the failure path propagates.  The
+    # command line reads the suite from its layer's module.
     def broken(rs):
         from alcoves.report import Report
         rep = Report(suite="peterson", type_label=rs.label)
         rep.add("forced-failure", False)
         return rep
 
-    monkeypatch.setitem(suites.SUITES, "peterson", broken)
+    monkeypatch.setattr("alcoves.suites.ideals.suite_peterson", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "peterson",
                            "--type", "A1")
     assert code == 1
@@ -645,17 +781,55 @@ def test_importing_the_cli_loads_no_library_module():
     assert loaded_modules("import alcoves.cli") == {"alcoves", "alcoves.cli"}
 
 
-def test_no_benchmark_job_loads_dataclasses_or_inspect():
-    """`dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
-    execs the methods of each class it decorates, at every start-up."""
+def benchmark_jobs() -> list:
     import runpy
     workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] /
                                    "bench" / "workloads.py"))
-    jobs = [argv for argvs in workloads["CLI_JOBS"].values() for argv in argvs]
+    return [argv for argvs in workloads["CLI_JOBS"].values() for argv in argvs]
+
+
+def test_no_benchmark_job_loads_dataclasses_or_inspect():
+    """`dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
+    execs the methods of each class it decorates, at every start-up."""
+    jobs = benchmark_jobs()
     assert len(jobs) == 13
     loaded = loaded_modules(run_commands(*jobs), also=("dataclasses", "inspect"))
     assert {"alcoves.alcove", "alcoves.wedge"} <= loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_no_benchmark_job_loads_argparse_or_json():
+    """The flags come from the signatures and the report writes its own
+    JSON, so no job pays for argparse (with gettext and locale) or json."""
+    heavy = ("argparse", "gettext", "locale", "json")
+    loaded = loaded_modules(run_commands(*benchmark_jobs()), also=heavy)
+    assert {"alcoves.alcove", "alcoves.wedge", "alcoves.series"} <= loaded
+    assert not loaded & set(heavy)
+
+
+def test_integer_jobs_load_no_fraction():
+    """Root systems are built in integers, so the jobs that never use a
+    rational load neither `fractions` nor `linalg`."""
+    jobs = [argv for argv in benchmark_jobs()
+            if argv[0] in ("ideals", "alcoves", "mcore")
+            or argv[2] in ("subset-bound", "root-partitions")]
+    assert [argv[argv.index("--type") + 1] for argv in jobs if "--type" in argv] \
+        == ["E6", "A4", "F4", "A4"] and len(jobs) == 5
+    loaded = loaded_modules(run_commands(*jobs), also=("fractions",))
+    assert {"alcoves.ideals", "alcoves.typea"} <= loaded
+    assert not loaded & {"fractions", "alcoves.linalg"}
+
+
+@pytest.mark.parametrize("argv", [argv for argv in benchmark_jobs()
+                                  if argv[0] in ("verify", "mcore")],
+                         ids=" ".join)
+def test_verify_job_loads_one_suite_module(argv):
+    from alcoves.suites import MODULES
+
+    suite = argv[argv.index("--suite") + 1] if argv[0] == "verify" else "mcore"
+    loaded = loaded_modules(run_commands(argv))
+    assert {m for m in loaded if m.startswith("alcoves.suites.")} == \
+        {f"alcoves.suites.{MODULES[suite]}"}
 
 
 @pytest.mark.parametrize("argv", [

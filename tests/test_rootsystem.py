@@ -3,13 +3,14 @@
 import pickle
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
 
-from alcoves.rootsystem import (_coroot_coords,
-                                _dominant_weights_with_cas_bound,
+from alcoves.linalg import invert_rational
+from alcoves.rootsystem import (_build_root_system, _coroot_coords,
+                                _dominant_weights_with_cas_bound, _valid_type,
                                 build_root_system, casimir_eigenvalue,
                                 heisenberg_count, parse_type, weyl_dimension)
 from alcoves.wedge import build_chevalley
@@ -231,3 +232,34 @@ def test_coroot_pairs_to_two_with_its_root(label):
         coroot = _coroot_coords(rs, beta)
         assert all(type(c) is int and c >= 0 for c in coroot)
         assert sum(map(mul, coroot, rs.root_coords_to_weight(beta))) == 2
+
+
+# Every simple type of rank at most 8 that `_valid_type` accepts.
+EVERY_TYPE_TO_RANK8 = [f"{family}{rank}" for family in "ABCDEFG"
+                       for rank in range(1, 9) if _valid_type(family, rank)]
+
+
+@pytest.mark.parametrize("label", EVERY_TYPE_TO_RANK8)
+def test_cleared_inverse_matches_the_rational_inverse(label):
+    """The fraction-free (adj, den) is den times the Gauss-Jordan inverse
+    over the rationals, with den the least common denominator; the
+    Fraction `cartan_inv` derived from it is that inverse."""
+    rs = parse_type(label)
+    adj, den = rs.inverse
+    inv = invert_rational(rs.cartan)
+    assert all(type(a) is int for row in adj for a in row)
+    assert den == lcm(*(v.denominator for row in inv for v in row))
+    assert tuple(tuple(Fraction(a, den) for a in row) for row in adj) == inv
+    assert rs.cartan_inv == inv
+
+
+def test_building_a_root_system_creates_no_fraction(count_fractions):
+    assert len(EVERY_TYPE_TO_RANK8) == 33
+    with count_fractions() as created:
+        built = [_build_root_system.__wrapped__(label[0], int(label[1:]))
+                 for label in EVERY_TYPE_TO_RANK8]
+    assert not created, created[:3]
+    for rs in built:  # the same data as the cached records
+        cached = parse_type(rs.label)
+        assert (rs.sym, rs.inverse, rs.scale, rs.h_dual) == \
+            (cached.sym, cached.inverse, cached.scale, cached.h_dual)
