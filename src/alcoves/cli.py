@@ -9,19 +9,21 @@ divisibility check, reported as "internal error: ..." on stderr).  Output
 is byte-identical across repeated identical invocations: fixed ordering,
 decimal-string integers, no timestamps.
 
-Every command runs a function of its named options, whose defaults are
-in its signature: `cmd_*` below for the listings, the suite that
---suite names for `verify` (`mcore` is `verify --suite mcore`).  The
-flags of a command are read straight off that signature: the argument
-`max_length` is --max-length, `rs` is --type and `eval_at` is --eval; an
-`int` annotation converts the value, a `bool` one makes a bare switch,
-and a value is given as `--name value` or `--name=value`.  -h and --help
-print the flags of every command from the signatures.  A usage error
-exits 2 with one line naming the flag.  One binder, `bind`, then calls
-the function: it fills in the defaults, checks every numeric value,
-given or default, and the rank behind --type and --m against `Limits`,
-parses --type once, and passes `limits` only to a function that names
-it; all before any work starts.
+Every command is a function in the one table `suites.MODULES`, of its
+named options, with its defaults in its signature: `verify --suite NAME`
+runs the function of NAME, and `alcoves NAME` is the same for each name
+in `COMMANDS`.  The flags of a command are read straight off that
+signature: the argument `max_length` is --max-length and `rs` is --type;
+an `int` annotation converts the value, a `bool` one makes a bare
+switch, and a value is given once, as `--name value` or `--name=value`.
+-h and --help print the flags of every command from the signatures.  A
+usage error exits 2 with one line naming the flag.  One binder, `bind`,
+then calls the function: it fills in the defaults, checks every numeric
+value, given or default, and the rank behind --type and --m against
+`Limits`, and parses --type once, all before any work starts.  It also
+writes the report's header, the command's name, type label and bound
+options, and passes that report as `rep` and the ceilings as `limits`
+to a function that names them.
 """
 
 from __future__ import annotations
@@ -31,8 +33,13 @@ import sys
 # The package modules are imported inside the function that uses them, so
 # that a command compiles only what it runs.
 
+# The commands run by name: `alcoves NAME ...` is `verify --suite NAME ...`.
+COMMANDS = ("coeffs", "alcoves", "ideals", "fk", "mcore")
 # Arguments whose flag is not their name with dashes.
-_RENAMED = {"rs": "--type", "eval_at": "--eval"}
+_RENAMED = {"rs": "--type"}
+# Arguments the runner supplies, never flags: the ceilings, and the report
+# whose header names the command, its type and its options.
+SUPPLIED = ("limits", "rep")
 # Switches every command takes, besides the arguments of its function.
 SWITCHES = {"summary": "print a human-readable table instead of JSON",
             "allow_big": "multiply all scale ceilings by 100"}
@@ -52,9 +59,9 @@ def _signature(fn) -> tuple:
     return names, dict(zip(names[len(names) - len(defaults):], defaults))
 
 
-def _untaken(what: str, flags, takes) -> ValueError:
-    return ValueError(f"{what} does not take {', '.join(flags)}; it takes "
-                      f"{', '.join(map(_flag, takes)) or 'no options'}")
+def _untaken(name: str, flags, takes) -> ValueError:
+    return ValueError(f"suite {name!r} does not take {', '.join(flags)}; "
+                      f"it takes {', '.join(map(_flag, takes)) or 'no options'}")
 
 
 def _ranges(values: dict, limits: Limits) -> dict:
@@ -96,18 +103,19 @@ def _check_rank(option: str, rank: int, limits: Limits) -> None:
                          f"ceiling {limits.max_rank}")
 
 
-def bind(what: str, fn, limits: Limits, **given) -> dict:
-    """The keyword arguments that run `fn`, the function of command or
-    suite `what`, from the options given.  A default that is a function of
-    the root system is worked out, and checked, once the type is parsed;
-    `limits` is passed only if `fn` names it."""
+def bind(name: str, fn, limits: Limits, **given) -> dict:
+    """The keyword arguments that run `fn`, the function of command `name`,
+    from the options given.  A default that is a function of the root
+    system is worked out, and checked, once the type is parsed.  `limits`
+    and `rep`, a report headed by `name`, the type label and every option
+    bound (None written as ""), are passed if `fn` names them."""
     names, defaults = _signature(fn)
-    takes = [name for name in names if name != "limits"]
-    extra = [_flag(name) for name in given if name not in takes]
+    takes = [arg for arg in names if arg not in SUPPLIED]
+    extra = [_flag(arg) for arg in given if arg not in takes]
     if extra:
-        raise _untaken(what, extra, takes)
+        raise _untaken(name, extra, takes)
     if "rs" in takes and "rs" not in given:
-        raise ValueError(f"{what} requires a type label")
+        raise ValueError(f"suite {name!r} requires a type label")
     values = dict(defaults, **given)
     _check_values(values, given, limits)
     if "m" in values:  # the m-core suite builds A_{m-1}
@@ -117,112 +125,19 @@ def bind(what: str, fn, limits: Limits, **given) -> dict:
         label = values["rs"]
         _check_rank(f"--type {label}", parse_label(label)[1], limits)
         rs = values["rs"] = parse_type(label)
-        values = {name: v(rs) if callable(v) else v for name, v in values.items()}
+        values = {arg: v(rs) if callable(v) else v for arg, v in values.items()}
         _check_values(values, given, limits)
-    if "limits" in names:
-        values["limits"] = limits
+    from .report import Report
+    rep = Report(name, values["rs"].label if "rs" in values else "",
+                 {arg: "" if v is None else v
+                  for arg, v in values.items() if arg != "rs"})
+    supplied = {"limits": limits, "rep": rep}
+    values.update((arg, supplied[arg]) for arg in SUPPLIED if arg in names)
     return values
 
 
-def cmd_coeffs(rs: RootSystem, kmax: int = 10, method: str = "both") -> Report:
-    """Euler-product power coefficients."""
-    from .report import Report
-    from .series import alcove_coefficient_series, euler_power
-
-    rep = Report(suite="coeffs", type_label=rs.label,
-                 params={"kmax": kmax, "method": method})
-    series = euler_power(rs.dim_g, kmax) if method != "alcove" else None
-    alcove = alcove_coefficient_series(rs, kmax) if method != "series" else None
-    base = series or alcove
-    for k in range(kmax + 1):
-        witness = {"k": k}
-        if series is not None:
-            witness["series"] = series[k]
-        if alcove is not None:
-            witness["alcove"] = alcove[k]
-        ok = series is None or alcove is None or series[k] == alcove[k]
-        rep.add(f"coefficient-{k}", ok, witness)
-    if rs.label == "A4" and kmax >= 4 and base is not None:
-        rep.add("a4-coefficient-4-exact-value", base[4] == 4830,
-                {"value": base[4], "rejected_misprint": 4870},
-                detail="the exact expansion gives 4830; 4870 appearing in "
-                       "some accounts is a misprint")
-    return rep
-
-
-def cmd_alcoves(rs: RootSystem, max_length: int = 6,
-                wf2_only: bool = False) -> Report:
-    """Dominant alcoves by length."""
-    from .alcove import enumerate_dominant, in_wf2
-    from .report import Report
-    from .rootsystem import weyl_dimension
-
-    rep = Report(suite="alcoves", type_label=rs.label,
-                 params={"max_length": max_length, "wf2_only": wf2_only})
-    for i, e in enumerate(enumerate_dominant(rs, max_length)):
-        if wf2_only and not in_wf2(rs, e):
-            continue
-        rep.add(f"alcove-{i:04d}", True, {
-            "n_vec": e.n_vec, "length": e.length, "weight": e.lam,
-            "casimir": e.cas, "dim": weyl_dimension(rs, e.lam),
-            "sign": (-1) ** e.length, "wf2": in_wf2(rs, e)})
-    return rep
-
-
-def cmd_ideals(rs: RootSystem) -> Report:
-    """Abelian ideals of the Borel."""
-    from .alcove import chi_at_type_rho
-    from .ideals import enumerate_abelian_ideals, ideal_to_sigma
-    from .report import Report
-
-    rep = Report(suite="ideals", type_label=rs.label)
-    ideals = enumerate_abelian_ideals(rs)
-    for i, xi in enumerate(ideals):
-        e = ideal_to_sigma(rs, xi)
-        rep.add(f"ideal-{i:04d}", e.lam == xi.lam, {
-            "k": xi.k, "weight": xi.lam,
-            "roots": sorted(rs.positive_roots[j] for j in xi.roots),
-            "alcove_length": e.length,
-            "sign": chi_at_type_rho(rs, xi.lam)})
-    rep.add("count-is-2^rank", len(ideals) == 2 ** rs.rank,
-            {"count": len(ideals), "expected": 2 ** rs.rank})
-    return rep
-
-
-def cmd_fk(kmax: int = 8, eval_at: int | None = None,
-           lehmer: bool = False) -> Report:
-    """Coefficient polynomials f_k; --lehmer looks for a zero at 24."""
-    from .report import Report
-    from .series import f_poly, lehmer_probe
-
-    rep = Report(suite="fk", params={"kmax": kmax,
-                                     "eval": eval_at if eval_at is not None else "",
-                                     "lehmer": lehmer})
-    for k in range(kmax + 1):
-        poly = f_poly(k)
-        witness = {"coeffs": [str(c) for c in poly.coeffs], "degree": poly.degree}
-        if eval_at is not None:
-            witness["value"] = poly(eval_at)
-        rep.add(f"f{k}", poly.degree == k or k == 0, witness)
-    if lehmer:
-        probe = lehmer_probe(kmax)
-        rep.add("no-zero-at-24", not probe["zeros"],
-                {"zeros": probe["zeros"],
-                 "values": [probe["values"][k] for k in range(1, min(kmax, 10) + 1)]},
-                detail="a zero here would be a spectacular counterexample; "
-                       "report it prominently")
-    return rep
-
-
-# The commands that are not suites.  `verify` runs the suite --suite
-# names; `mcore` is `verify --suite mcore`.
-LISTINGS = {"coeffs": cmd_coeffs, "alcoves": cmd_alcoves, "ideals": cmd_ideals,
-            "fk": cmd_fk}
-COMMANDS = (*LISTINGS, "mcore", "verify")
-
-
 def _tokens(args) -> dict:
-    """Flag -> its value, or None for a flag given bare."""
+    """Flag -> its value, or None for a flag given bare; each flag once."""
     options = {}
     i = 0
     while i < len(args):
@@ -234,39 +149,42 @@ def _tokens(args) -> dict:
             if i + 1 < len(args) and not args[i + 1].startswith("--"):
                 i += 1
                 value = args[i]
+        if flag in options:
+            raise ValueError(f"{flag} is given more than once")
         options[flag] = value
         i += 1
     return options
 
 
 def parse(argv) -> tuple:
-    """(what, fn, options) for a command line: the function that runs it,
-    what to call it in an error, and the options given by argument name,
-    each converted by its annotation."""
+    """(name, fn, options) for a command line: the command, the function
+    that runs it, and the options given by argument name, each converted
+    by its annotation.  `alcoves NAME ...` is `verify --suite NAME ...`."""
     command = argv[0] if argv else ""
     options = _tokens(argv[1:])
-    if command in LISTINGS:
-        fn, what = LISTINGS[command], f"command {command!r}"
-    elif command in ("mcore", "verify"):
-        from .suites import MODULES, load
-        name = options.pop("--suite", None) if command == "verify" else "mcore"
-        if name not in MODULES:
-            problem = f"--suite {name} is not a suite" if name else \
-                "verify requires --suite NAME"
-            raise ValueError(f"{problem}; choose from {', '.join(MODULES)}")
-        fn, what = load(name), f"suite {name!r}"
+    if command == "verify":
+        name = options.pop("--suite", None)
+    elif command in COMMANDS:
+        name = command
     else:
         problem = f"unknown command {command!r}" if command else "no command"
-        raise ValueError(f"{problem}; choose from {', '.join(COMMANDS)}")
+        raise ValueError(f"{problem}; choose from {', '.join(COMMANDS)}, verify")
+    from .suites import MODULES, load
+    if name not in MODULES:
+        problem = f"--suite {name} is not a suite" if name else \
+            "verify requires --suite NAME"
+        raise ValueError(f"{problem}; choose from {', '.join(MODULES)}")
+    fn = load(name)
     names, _ = _signature(fn)
-    by_flag = {_flag(name): name for name in (*names, *SWITCHES) if name != "limits"}
+    takes = [arg for arg in names if arg not in SUPPLIED]
+    by_flag = {_flag(arg): arg for arg in (*takes, *SWITCHES)}
     extra = [flag for flag in options if flag not in by_flag]
     if extra:
-        raise _untaken(what, extra, [name for name in names if name != "limits"])
+        raise _untaken(name, extra, takes)
     given = {}
     for flag, value in options.items():
-        name = by_flag[flag]
-        kind = "bool" if name in SWITCHES else fn.__annotations__.get(name, "str")
+        arg = by_flag[flag]
+        kind = "bool" if arg in SWITCHES else fn.__annotations__.get(arg, "str")
         if kind == "bool":
             if value is not None:
                 raise ValueError(f"{flag} takes no value, not {value!r}")
@@ -278,8 +196,8 @@ def parse(argv) -> tuple:
                 value = int(value)
             except ValueError:
                 raise ValueError(f"{flag} takes an integer, not {value!r}") from None
-        given[name] = value
-    return what, fn, given
+        given[arg] = value
+    return name, fn, given
 
 
 def _synopsis(fn) -> str:
@@ -287,7 +205,7 @@ def _synopsis(fn) -> str:
     names, defaults = _signature(fn)
     words = []
     for name in names:
-        if name == "limits":
+        if name in SUPPLIED:
             continue
         if fn.__annotations__.get(name) == "bool":
             words.append(f"[{_flag(name)}]")
@@ -316,11 +234,11 @@ and exterior-algebra checks.  The flags of a command are the arguments of
 the function that runs it; a bracketed flag shows its default.
 
 commands:""".split("\n")
-    for name, fn in LISTINGS.items():
+    for name in COMMANDS:
+        fn = SUITES[name]
         lines += [f"  {name:<9}{_synopsis(fn)}",
                   f"  {'':<9}{' '.join(fn.__doc__.split())}"]
-    lines += ["  mcore    the same as verify --suite mcore",
-              "  verify   --suite NAME, and the flags of that suite:"]
+    lines += ["  verify   --suite NAME, and the flags of that command:"]
     lines += [f"    {name:<17}{_synopsis(fn)}".rstrip()
               for name, fn in SUITES.items()]
     lines += ["", "every command also takes:"]
@@ -335,13 +253,13 @@ def main(argv=None) -> int:
         sys.stdout.write(usage())
         return 0
     try:
-        what, fn, options = parse(argv)
+        name, fn, options = parse(argv)
         summary = options.pop("summary", False)
         from .limits import load_limits
         limits = load_limits()
         if options.pop("allow_big", False):
             limits = limits.embiggen()
-        report = fn(**bind(what, fn, limits, **options))
+        report = fn(**bind(name, fn, limits, **options))
     except (ValueError, KeyError, LookupError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

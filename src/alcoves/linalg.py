@@ -7,7 +7,6 @@ change the row space.  Nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -95,24 +94,3 @@ def exact_rank(rows) -> int:
 def nullity(rows, ncols: int) -> int:
     return ncols - exact_rank(rows)
 
-
-def invert_rational(mat):
-    """Inverse of a square matrix over the rationals (Gauss-Jordan).
-
-    Raises ValueError on a singular matrix.
-    """
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)

@@ -251,7 +251,8 @@ def _cleared_inverse(cartan) -> tuple:
     common denominator, by fraction-free Gauss-Jordan elimination: after
     step k the leading k x k block is the k-th leading principal minor
     times the identity, and every division is exact.  A finite-type
-    Cartan matrix has positive leading principal minors, so no pivoting."""
+    Cartan matrix, like the Killing form on the coroots, has positive
+    leading principal minors, so no pivoting."""
     n = len(cartan)
     rows = [list(row) + [int(i == j) for j in range(n)]
             for i, row in enumerate(cartan)]
@@ -259,7 +260,7 @@ def _cleared_inverse(cartan) -> tuple:
     for k in range(n):
         pivot = rows[k][k]
         if pivot <= 0:
-            raise AssertionError("Cartan matrix is not positive definite")
+            raise AssertionError("matrix is not positive definite")
         for i in range(n):
             if i != k:
                 f = rows[i][k]

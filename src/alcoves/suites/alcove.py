@@ -1,17 +1,30 @@
 """Suites on dominant alcoves: lengths, wall counts, ideal chains, parity,
-the gap above twice the fundamental alcove and character signs."""
+the gap above twice the fundamental alcove and character signs, and the
+listing `alcoves`."""
 
 from __future__ import annotations
 
-from ..report import Report
+
+def suite_alcoves(rep: Report, rs: RootSystem, max_length: int = 6,
+                  wf2_only: bool = False) -> Report:
+    """Dominant alcoves by length."""
+    from ..alcove import enumerate_dominant, in_wf2
+    from ..rootsystem import weyl_dimension
+
+    for i, e in enumerate(enumerate_dominant(rs, max_length)):
+        if wf2_only and not in_wf2(rs, e):
+            continue
+        rep.add(f"alcove-{i:04d}", True, {
+            "n_vec": e.n_vec, "length": e.length, "weight": e.lam,
+            "casimir": e.cas, "dim": weyl_dimension(rs, e.lam),
+            "sign": (-1) ** e.length, "wf2": in_wf2(rs, e)})
+    return rep
 
 
-def suite_bott(rs: RootSystem, max_length: int = 12) -> Report:
+def suite_bott(rep: Report, rs: RootSystem, max_length: int = 12) -> Report:
     from ..alcove import counts_by_length
     from ..series import bott_series
 
-    rep = Report(suite="bott", type_label=rs.label,
-                 params={"max_length": max_length})
     counts = counts_by_length(rs, max_length)
     series = bott_series(rs, max_length)
     for n in range(max_length + 1):
@@ -20,14 +33,12 @@ def suite_bott(rs: RootSystem, max_length: int = 12) -> Report:
     return rep
 
 
-def suite_ideal_chains(rs: RootSystem, max_length: int = 6) -> Report:
+def suite_ideal_chains(rep: Report, rs: RootSystem, max_length: int = 6) -> Report:
     """Wall-count level sets of each alcove form a chain of ideals whose
     sums reconstruct the alcove weight, topped by an abelian ideal."""
     from ..alcove import enumerate_dominant, ideal_chain
     from ..ideals import _root_sum_weight, is_abelian, is_ideal
 
-    rep = Report(suite="ideal-chains", type_label=rs.label,
-                 params={"max_length": max_length})
     elements = enumerate_dominant(rs, max_length)
     bad_ideal = bad_sum = bad_add = bad_top = 0
     for e in elements:
@@ -60,12 +71,10 @@ def suite_ideal_chains(rs: RootSystem, max_length: int = 6) -> Report:
     return rep
 
 
-def suite_parity(rs: RootSystem, max_length: int = 8) -> Report:
+def suite_parity(rep: Report, rs: RootSystem, max_length: int = 8) -> Report:
     from ..alcove import (enumerate_dominant, finite_part_length,
                          two_rho_pairing_killing)
 
-    rep = Report(suite="parity", type_label=rs.label,
-                 params={"max_length": max_length})
     elements = enumerate_dominant(rs, max_length)
     bad = []
     for e in elements:
@@ -78,15 +87,13 @@ def suite_parity(rs: RootSystem, max_length: int = 8) -> Report:
     return rep
 
 
-def suite_gap(rs: RootSystem,
+def suite_gap(rep: Report, rs: RootSystem,
               max_length: int = lambda rs: rs.h_dual + 3) -> Report:
     """Alcoves outside twice the fundamental alcove are at least h_dual
     long; Casimir at most h_dual forces membership.  The default length
     is worked out from the type by the binder, which checks it too."""
     from ..alcove import enumerate_dominant, in_wf2
 
-    rep = Report(suite="gap", type_label=rs.label,
-                 params={"max_length": max_length})
     elements = enumerate_dominant(rs, max_length)
     low_outside = [e.n_vec for e in elements
                    if not in_wf2(rs, e) and e.length < rs.h_dual]
@@ -99,16 +106,13 @@ def suite_gap(rs: RootSystem,
     return rep
 
 
-def suite_sign(rs: RootSystem, max_length: int = 8,
+def suite_sign(rep: Report, rs: RootSystem, max_length: int = 8,
                cas_ceiling: int | None = None) -> Report:
     """Character values at an element of type rho: length parity on alcove
     weights, zero on every other dominant weight below the ceiling."""
     from ..alcove import chi_at_type_rho, enumerate_dominant
     from ..rootsystem import _dominant_weights_with_cas_bound
 
-    rep = Report(suite="sign", type_label=rs.label,
-                 params={"max_length": max_length,
-                         "cas_ceiling": cas_ceiling if cas_ceiling is not None else ""})
     elements = enumerate_dominant(rs, max_length)
     bad = [e.n_vec for e in elements
            if chi_at_type_rho(rs, e.lam) != (-1) ** e.length]

@@ -1,19 +1,35 @@
 """Suites on abelian Borel ideals: their count and dimensions, the
-subset and root-partition bounds, and the round trip to alcoves."""
+subset and root-partition bounds, and the round trip to alcoves; and the
+listing `ideals`."""
 
 from __future__ import annotations
-
-from ..report import Report
 
 # Maximal abelian-subalgebra dimension for the three types where it stays
 # below the dual Coxeter number.
 SMALL_MALCEV = {"A1": 1, "A2": 2, "G2": 3}
 
 
-def suite_peterson(rs: RootSystem) -> Report:
+def suite_ideals(rep: Report, rs: RootSystem) -> Report:
+    """Abelian ideals of the Borel."""
+    from ..alcove import chi_at_type_rho
+    from ..ideals import enumerate_abelian_ideals, ideal_to_sigma
+
+    ideals = enumerate_abelian_ideals(rs)
+    for i, xi in enumerate(ideals):
+        e = ideal_to_sigma(rs, xi)
+        rep.add(f"ideal-{i:04d}", e.lam == xi.lam, {
+            "k": xi.k, "weight": xi.lam,
+            "roots": sorted(rs.positive_roots[j] for j in xi.roots),
+            "alcove_length": e.length,
+            "sign": chi_at_type_rho(rs, xi.lam)})
+    rep.add("count-is-2^rank", len(ideals) == 2 ** rs.rank,
+            {"count": len(ideals), "expected": 2 ** rs.rank})
+    return rep
+
+
+def suite_peterson(rep: Report, rs: RootSystem) -> Report:
     from ..ideals import enumerate_abelian_ideals, max_abelian_dimension
 
-    rep = Report(suite="peterson", type_label=rs.label)
     ideals = enumerate_abelian_ideals(rs)
     rep.add("abelian-ideal-count-is-2^rank", len(ideals) == 2 ** rs.rank,
             {"count": len(ideals), "expected": 2 ** rs.rank})
@@ -30,11 +46,10 @@ def suite_peterson(rs: RootSystem) -> Report:
     return rep
 
 
-def suite_betti_ideals(rs: RootSystem) -> Report:
+def suite_betti_ideals(rep: Report, rs: RootSystem) -> Report:
     from ..ideals import enumerate_abelian_ideals
     from ..series import bott_series
 
-    rep = Report(suite="betti-ideals", type_label=rs.label)
     series = bott_series(rs, rs.h_dual)
     ideals = enumerate_abelian_ideals(rs)
     for k in range(rs.h_dual):
@@ -44,7 +59,7 @@ def suite_betti_ideals(rs: RootSystem) -> Report:
     return rep
 
 
-def suite_subset_bound(rs: RootSystem, limits: Limits,
+def suite_subset_bound(rep: Report, rs: RootSystem, limits: Limits,
                        kmax: int | None = None) -> Report:
     """Norm bound for arbitrary k-subsets of positive roots, equality
     exactly on abelian-ideal root sets.  Degrees whose subset count
@@ -52,8 +67,7 @@ def suite_subset_bound(rs: RootSystem, limits: Limits,
     from ..ideals import verify_subset_bound
 
     kmax = rs.num_positive if kmax is None else min(kmax, rs.num_positive)
-    rep = Report(suite="subset-bound", type_label=rs.label,
-                 params={"kmax": kmax})
+    rep.params["kmax"] = kmax
     for k in range(kmax + 1):
         try:
             res = verify_subset_bound(rs, k, limits.subset_candidates)
@@ -68,12 +82,10 @@ def suite_subset_bound(rs: RootSystem, limits: Limits,
     return rep
 
 
-def suite_root_partitions(rs: RootSystem, limits: Limits,
+def suite_root_partitions(rep: Report, rs: RootSystem, limits: Limits,
                           cas_ceiling: int = 6) -> Report:
     from ..ideals import verify_root_partition_bound
 
-    rep = Report(suite="root-partitions", type_label=rs.label,
-                 params={"cas_ceiling": cas_ceiling})
     res = verify_root_partition_bound(rs, cas_ceiling,
                                       limits.partition_candidates)
     rep.add("triangular-cost-bound", not res["violations"],
@@ -86,14 +98,13 @@ def suite_root_partitions(rs: RootSystem, limits: Limits,
     return rep
 
 
-def suite_bijection(rs: RootSystem) -> Report:
+def suite_bijection(rep: Report, rs: RootSystem) -> Report:
     """Round trip between abelian ideals and alcoves in twice the
     fundamental alcove, with lengths matching ideal sizes; the alcoves
     built by affine reflections equal those the alcove BFS finds."""
     from ..ideals import (_wf2_by_nvec, enumerate_abelian_ideals,
                          ideal_to_sigma, sigma_to_ideal)
 
-    rep = Report(suite="bijection", type_label=rs.label)
     ideals = enumerate_abelian_ideals(rs)
     by_nvec = _wf2_by_nvec(rs)
     bad = mismatched = 0

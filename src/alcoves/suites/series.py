@@ -1,19 +1,60 @@
-"""Suites on the Euler-product series and the coefficient polynomials f_k."""
+"""Suites on the Euler-product series and the coefficient polynomials
+f_k, and the listings `coeffs` and `fk`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..report import Report
+
+def suite_coeffs(rep: Report, rs: RootSystem, kmax: int = 10,
+                 method: str = "both") -> Report:
+    """Euler-product power coefficients."""
+    from ..series import alcove_coefficient_series, euler_power
+
+    series = euler_power(rs.dim_g, kmax) if method != "alcove" else None
+    alcove = alcove_coefficient_series(rs, kmax) if method != "series" else None
+    base = series or alcove
+    for k in range(kmax + 1):
+        witness = {"k": k}
+        if series is not None:
+            witness["series"] = series[k]
+        if alcove is not None:
+            witness["alcove"] = alcove[k]
+        ok = series is None or alcove is None or series[k] == alcove[k]
+        rep.add(f"coefficient-{k}", ok, witness)
+    if rs.label == "A4" and kmax >= 4 and base is not None:
+        rep.add("a4-coefficient-4-exact-value", base[4] == 4830,
+                {"value": base[4], "rejected_misprint": 4870},
+                detail="the exact expansion gives 4830; 4870 appearing in "
+                       "some accounts is a misprint")
+    return rep
 
 
-def suite_euler_char(rs: RootSystem, kmax: int = 12) -> Report:
+def suite_fk(rep: Report, kmax: int = 8, eval: int | None = None,
+             lehmer: bool = False) -> Report:
+    """Coefficient polynomials f_k; --lehmer looks for a zero at 24."""
+    from ..series import f_poly, lehmer_probe
+
+    for k in range(kmax + 1):
+        poly = f_poly(k)
+        witness = {"coeffs": [str(c) for c in poly.coeffs], "degree": poly.degree}
+        if eval is not None:
+            witness["value"] = poly(eval)
+        rep.add(f"f{k}", poly.degree == k or k == 0, witness)
+    if lehmer:
+        probe = lehmer_probe(kmax)
+        rep.add("no-zero-at-24", not probe["zeros"],
+                {"zeros": probe["zeros"],
+                 "values": [probe["values"][k] for k in range(1, min(kmax, 10) + 1)]},
+                detail="a zero here would be a spectacular counterexample; "
+                       "report it prominently")
+    return rep
+
+def suite_euler_char(rep: Report, rs: RootSystem, kmax: int = 12) -> Report:
     """Alternating wedge-degree sums of the bigraded dimensions equal the
     Euler-product coefficients; the top corner dominates through h_dual."""
     from ..series import bigraded_dims, euler_power
 
-    rep = Report(suite="euler-char", type_label=rs.label,
-                 params={"kmax": kmax})
     table = bigraded_dims(rs.dim_g, kmax, kmax)
     series = euler_power(rs.dim_g, kmax)
     for k in range(kmax + 1):
@@ -29,7 +70,7 @@ def suite_euler_char(rs: RootSystem, kmax: int = 12) -> Report:
     return rep
 
 
-def suite_roots_f234(kmax: int = 12) -> Report:
+def suite_roots_f234(rep: Report, kmax: int = 12) -> Report:
     """Closed forms of the first coefficient polynomials, their integer
     roots, and agreement of the recurrence and interpolation routes."""
     from ..series import RatPoly, euler_power, f_poly, f_poly_direct
@@ -38,7 +79,6 @@ def suite_roots_f234(kmax: int = 12) -> Report:
     f3 = RatPoly([0, Fraction(-8, 6), Fraction(9, 6), Fraction(-1, 6)])
     f4 = RatPoly([0, Fraction(-42, 24), Fraction(59, 24),
                   Fraction(-18, 24), Fraction(1, 24)])
-    rep = Report(suite="roots-f234", params={"kmax": kmax})
     rep.add("f1-is-minus-s", f_poly(1) == RatPoly([0, -1]),
             {"coeffs": [str(c) for c in f_poly(1).coeffs]})
     for k, target, roots in ((2, f2, (3,)), (3, f3, (1, 8)), (4, f4, (1, 3, 14))):
@@ -57,14 +97,13 @@ def suite_roots_f234(kmax: int = 12) -> Report:
     return rep
 
 
-def suite_interpolation() -> Report:
+def suite_interpolation(rep: Report) -> Report:
     """Each f_k is pinned down by k special-linear dimension sums at the
     points m^2 - 1, together with the root at zero."""
     from ..ideals import dim_Ck
     from ..rootsystem import parse_type
     from ..series import f_poly
 
-    rep = Report(suite="interpolation")
     for k in (2, 3, 4):
         points = [(0, 0)] + [
             (m * m - 1, (-1) ** k * dim_Ck(parse_type(f"A{m - 1}"), k))

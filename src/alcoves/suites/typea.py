@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from ..report import Report
 
-
-def suite_mcore(limits: Limits, m: int = 3, kmax: int = 3,
+def suite_mcore(rep: Report, limits: Limits, m: int = 3, kmax: int = 3,
                 max_length: int = 6) -> Report:
+    """Null m-cores by size; alcove weights map to null m-cores."""
     from .. import typea
 
-    rep = Report(suite="mcore", params={"m": m, "kmax": kmax,
-                                        "max_length": max_length})
     # The candidate counts grow with k: the largest is refused first.
     got = {k: typea.count_null_cores(m, k, limits.partition_candidates)
            for k in range(kmax, -1, -1)}

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from math import comb
 
-from ..report import Report
 
-
-def suite_seven_numbers(rs: RootSystem, limits: Limits) -> Report:
+def suite_seven_numbers(rep: Report, rs: RootSystem, limits: Limits) -> Report:
     """Five independent computations of the same number for k up to the
     dual Coxeter number: the signed series coefficient, the abelian-ideal
     dimension sum, the Casimir eigenspace dimension, the coboundary-ideal
@@ -19,7 +17,6 @@ def suite_seven_numbers(rs: RootSystem, limits: Limits) -> Report:
     from ..wedge import (build_chevalley, casimir_eigenspace_dim,
                         dg_ideal_dim, verify_ideal_top_vectors)
 
-    rep = Report(suite="seven-numbers", type_label=rs.label)
     table = build_chevalley(rs, dim_ceiling=limits.chevalley_dim)
     series = euler_power(rs.dim_g, rs.h_dual)
     doms = enumerate_dominant(rs, rs.h_dual)

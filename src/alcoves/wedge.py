@@ -38,16 +38,16 @@ fraction-free elimination (`linalg.exact_rank`) on {column: value} rows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, lcm
 from operator import add, sub
 
 from .limits import Limits
-from .linalg import exact_rank, invert_rational, nullity
-from .rootsystem import (FrozenRecord, RootSystem, _coroot_coords,
-                         _string_start, casimir_eigenvalue, weyl_orbit_size)
+from .linalg import exact_rank, nullity
+from .rootsystem import (FrozenRecord, RootSystem, _cleared_inverse,
+                         _coroot_coords, _string_start, casimir_eigenvalue,
+                         weyl_orbit_size)
 
 
 class LieAlgebraTable(FrozenRecord):
@@ -196,16 +196,17 @@ def _killing_dual(brackets, m: int, l: int):
     if 0 in pairs:
         raise AssertionError("Killing form is degenerate")
     h = 2 * m
-    try:
-        block = invert_rational([[trace(h + i, h + j) for j in range(l)]
-                                 for i in range(l)])
-    except ValueError:
+    try:  # positive definite on the real span of the coroots
+        adj, block_den = _cleared_inverse(
+            [[trace(h + i, h + j) for j in range(l)] for i in range(l)])
+    except AssertionError:
         raise AssertionError("Killing form is degenerate") from None
-    den = lcm(*pairs, *(x.denominator for row in block for x in row))
+    den = lcm(*pairs, block_den)
+    scale = den // block_den
     return tuple([((a + m, den // p),) for a, p in enumerate(pairs)] +
                  [((a, den // p),) for a, p in enumerate(pairs)] +
-                 [tuple((h + j, int(x * den)) for j, x in enumerate(row) if x)
-                  for row in block]), den
+                 [tuple((h + j, x * scale) for j, x in enumerate(row) if x)
+                  for row in adj]), den
 
 
 def _verify_jacobi(table: LieAlgebraTable) -> None:

@@ -19,8 +19,7 @@ from alcoves.limits import Limits
 from alcoves.report import PASS
 from alcoves.rootsystem import (casimir_eigenvalue, heisenberg_count,
                                 parse_type, weyl_dimension)
-from alcoves.series import (RatPoly, alcove_coefficient_series, euler_power,
-                            f_poly, f_poly_direct)
+from alcoves.series import RatPoly, euler_power, f_poly, f_poly_direct
 from alcoves.suites import run_suite
 from alcoves.typea import count_null_cores, null_core_count_expected, \
     verify_null_core_bijection
@@ -55,15 +54,16 @@ def _assert_all_pass(report, what):
 
 def test_criterion_01_ramanujan_coefficients():
     with Budget("criterion 1: 24th-power coefficients, two routes, k <= 15", 60):
-        rs = parse_type("A4")
-        assert rs.dim_g == 24
-        series = euler_power(24, 15)
-        alcove = alcove_coefficient_series(rs, 15)
-        assert series == alcove
-        assert [series[k] for k in range(1, 6)] == \
+        assert parse_type("A4").dim_g == 24
+        # Each coefficient check passes when the series and alcove routes agree.
+        report = run_suite("coeffs", "A4", Limits(), kmax=15)
+        _assert_all_pass(report, "coeffs A4 --kmax 15")
+        witness = {c.claim: c.witness for c in report.checks}
+        assert [witness[f"coefficient-{k}"]["alcove"] for k in range(1, 6)] == \
             [-24, 252, -1472, 4830, -6048]
         # Exact expansion settles the misreported fifth value.
-        assert series[4] == 4830 != 4870
+        assert witness["a4-coefficient-4-exact-value"] == \
+            {"value": 4830, "rejected_misprint": 4870}
 
 
 def test_criterion_02_power_of_two_count():
@@ -226,6 +226,8 @@ def test_criterion_12_structural_properties():
 
 def test_criterion_13_probe_at_24():
     with Budget("criterion 13: no zero of f_k at 24 for k <= 50", 30):
-        series = euler_power(24, 50)
-        zeros = [k for k in range(1, 51) if series[k] == 0]
+        report = run_suite("fk", None, Limits(), kmax=50, lehmer=True)
+        _assert_all_pass(report, "fk --kmax 50 --lehmer")
+        zeros = next(c.witness["zeros"] for c in report.checks
+                     if c.claim == "no-zero-at-24")
         assert zeros == [], f"zeros at {zeros} would be extraordinary"

@@ -199,6 +199,13 @@ USAGE_ERRORS = [
                  id="stray-argument"),
     pytest.param(["alcoves", "--type", "A2", "--max", "3"],
                  ["does not take --max;", "--max-length"], id="no-prefix-abbreviation"),
+    pytest.param(["coeffs", "--type", "A4", "--type", "B2"],
+                 ["--type is given more than once"], id="type-twice"),
+    pytest.param(["verify", "--suite", "peterson", "--suite", "bott",
+                  "--type", "A2"], ["--suite is given more than once"],
+                 id="suite-twice"),
+    pytest.param(["coeffs", "--type", "A2", "--kmax", "3", "--kmax=4"],
+                 ["--kmax is given more than once"], id="kmax-twice"),
 ]
 
 
@@ -330,18 +337,17 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
 
 
 def test_every_range_ceiling_is_a_limits_field():
-    """Every integer argument of every command and suite has a range in
-    `_ranges`, under every `--method` and with or without `--lehmer`, and
-    each maximum it can set is a field of `Limits`, so no scale ceiling
-    lives outside it."""
-    from alcoves.cli import LISTINGS, _ranges
+    """Every integer argument of every command has a range in `_ranges`,
+    under every `--method` and with or without `--lehmer`, and each
+    maximum it can set is a field of `Limits`, so no scale ceiling lives
+    outside it."""
+    from alcoves.cli import _ranges
     from alcoves.limits import FIELDS
 
-    functions = {**LISTINGS, **SUITES}
-    assert len(functions) == 19
+    assert len(SUITES) == 19
     # `--eval` is the point f_k is evaluated at, not a size.
-    sizes = {a for fn in functions.values() for a in arguments(fn)
-             if fn.__annotations__[a] in ("int", "int | None")} - {"eval_at"}
+    sizes = {a for fn in SUITES.values() for a in arguments(fn)
+             if fn.__annotations__[a] in ("int", "int | None")} - {"eval"}
     for method in ("series", "alcove", "both"):
         for lehmer in (False, True):
             ranges = _ranges({"method": method, "lehmer": lehmer}, Limits())
@@ -350,7 +356,7 @@ def test_every_range_ceiling_is_a_limits_field():
             assert ceilings <= set(FIELDS), (method, lehmer, ceilings)
 
 
-# Each command and suite, run with its defaults (and --type A2) under a
+# Each command, run with its defaults (and --type A2) under a
 # lowered max_length and max_order: the field its default is over, or
 # None where every default fits.  gap's default, h_dual + 3 = 6 on A2, is
 # worked out from the type.
@@ -369,15 +375,12 @@ DEFAULT_OVER = {
 @pytest.mark.parametrize("name,field", sorted(DEFAULT_OVER.items()))
 def test_defaults_are_checked_against_the_limits(capsys, monkeypatch, tmp_path,
                                                  name, field):
-    from alcoves.cli import LISTINGS
-
-    assert set(DEFAULT_OVER) == set(LISTINGS) | set(SUITES)
+    assert set(DEFAULT_OVER) == set(SUITES)
     path = tmp_path / "limits.json"
     path.write_text(json.dumps(LOWERED))
     monkeypatch.setenv("ALCOVES_LIMITS", str(path))
-    fn = LISTINGS.get(name) or SUITES[name]
-    argv = [name] if name in LISTINGS else ["verify", "--suite", name]
-    if "rs" in arguments(fn):
+    argv = ["verify", "--suite", name]
+    if "rs" in arguments(SUITES[name]):
         argv += ["--type", "A2"]
     if field is not None:
         def no_work(*args):
@@ -405,9 +408,10 @@ def test_run_suite_binds_like_the_command_line():
         run_suite("peterson", "A2", Limits(), kmax=3)
 
 
-# The flags each suite takes: one per argument its function names, with
-# `rs` as --type and `limits` not a flag.
+# The flags each command takes: one per argument its function names, with
+# `rs` as --type and `limits` and `rep` not flags.
 SUITE_OPTIONS = {
+    **LISTING_OPTIONS,
     "peterson": ("--type",),
     "seven-numbers": ("--type",),
     "bott": ("--type", "--max-length"),
@@ -434,14 +438,33 @@ UNTAKEN = [(suite, flag) for suite, flags in SUITE_OPTIONS.items()
 
 def test_suite_options_are_the_suite_signatures():
     flags = {name: tuple("--type" if a == "rs" else "--" + a.replace("_", "-")
-                         for a in arguments(fn) if a != "limits")
+                         for a in arguments(fn) if a not in ("limits", "rep"))
              for name, fn in SUITES.items()}
     assert flags == SUITE_OPTIONS
-    assert sum(map(len, SUITE_OPTIONS.values())) == 25
-    assert len(UNTAKEN) == 50
+    assert sum(map(len, SUITE_OPTIONS.values())) == 35
+    assert len(UNTAKEN) == 64
     assert sorted(name for name, fn in SUITES.items()
                   if "limits" in arguments(fn)) == \
         ["mcore", "root-partitions", "seven-numbers", "subset-bound"]
+
+
+# The defaults that are worked out from A2: h_dual + 3, and the number of
+# positive roots, to which subset-bound clamps its --kmax.
+DERIVED_ON_A2 = {("gap", "max_length"): 6, ("subset-bound", "kmax"): 3}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_binder_writes_every_header(name):
+    """Each command's report is headed by its name, the type label and
+    one param per option its function names, None written as ""."""
+    fn = SUITES[name]
+    typed = "rs" in arguments(fn)
+    rep = run_suite(name, "A2" if typed else None, Limits())
+    assert (rep.suite, rep.type_label) == (name, "A2" if typed else "")
+    assert set(rep.params) == set(arguments(fn)) - {"rs", "limits", "rep"}
+    defaults = dict(zip(reversed(arguments(fn)), reversed(fn.__defaults__ or ())))
+    assert rep.params == {a: DERIVED_ON_A2.get((name, a), "" if d is None else d)
+                          for a, d in defaults.items()}
 
 
 @pytest.mark.parametrize("in_range", [True, False], ids=["in-range", "out-of-range"])
@@ -614,9 +637,9 @@ def test_degenerate_killing_form_exits_three(capsys, monkeypatch):
     import alcoves.wedge as wedge
 
     def singular(mat):
-        raise ValueError("matrix is singular")
+        raise AssertionError("matrix is not positive definite")
 
-    monkeypatch.setattr(wedge, "invert_rational", singular)
+    monkeypatch.setattr(wedge, "_cleared_inverse", singular)
     # Build afresh: the cached table of A1 was verified with the real inverse.
     monkeypatch.setattr(wedge, "_chevalley_table", wedge._chevalley_table.__wrapped__)
     code, out, err = run_cli(capsys, "verify", "--suite", "seven-numbers",
@@ -649,10 +672,9 @@ def test_summary_mode(capsys):
 
 def test_exit_code_one_on_failure(capsys, monkeypatch):
     # Sabotage one suite to confirm the failure path propagates.  The
-    # command line reads the suite from its layer's module.
-    def broken(rs):
-        from alcoves.report import Report
-        rep = Report(suite="peterson", type_label=rs.label)
+    # command line reads the suite from its layer's module, and the binder
+    # writes the header of the report it is given.
+    def broken(rep, rs):
         rep.add("forced-failure", False)
         return rep
 
@@ -820,13 +842,11 @@ def test_integer_jobs_load_no_fraction():
     assert not loaded & {"fractions", "alcoves.linalg"}
 
 
-@pytest.mark.parametrize("argv", [argv for argv in benchmark_jobs()
-                                  if argv[0] in ("verify", "mcore")],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", benchmark_jobs(), ids=" ".join)
 def test_verify_job_loads_one_suite_module(argv):
     from alcoves.suites import MODULES
 
-    suite = argv[argv.index("--suite") + 1] if argv[0] == "verify" else "mcore"
+    suite = argv[argv.index("--suite") + 1] if argv[0] == "verify" else argv[0]
     loaded = loaded_modules(run_commands(argv))
     assert {m for m in loaded if m.startswith("alcoves.suites.")} == \
         {f"alcoves.suites.{MODULES[suite]}"}
@@ -845,8 +865,9 @@ def test_series_suites_load_no_alcove_or_ideal_module(argv):
 def test_ideals_command_loads_only_what_it_runs():
     loaded = loaded_modules(run_commands(("ideals", "--type", "E6")))
     assert "alcoves.ideals" in loaded
-    assert not loaded & {"alcoves.wedge", "alcoves.series", "alcoves.suites",
-                         "alcoves.typea"}
+    assert {m for m in loaded if m.startswith("alcoves.suites.")} == \
+        {"alcoves.suites.ideals"}
+    assert not loaded & {"alcoves.wedge", "alcoves.series", "alcoves.typea"}
 
 
 def test_star_import_binds_every_export():

@@ -3,12 +3,11 @@
 import pickle
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 import pytest
 
-from alcoves.linalg import invert_rational
 from alcoves.rootsystem import (_build_root_system, _coroot_coords,
                                 _dominant_weights_with_cas_bound, _valid_type,
                                 build_root_system, casimir_eigenvalue,
@@ -241,16 +240,19 @@ EVERY_TYPE_TO_RANK8 = [f"{family}{rank}" for family in "ABCDEFG"
 
 @pytest.mark.parametrize("label", EVERY_TYPE_TO_RANK8)
 def test_cleared_inverse_matches_the_rational_inverse(label):
-    """The fraction-free (adj, den) is den times the Gauss-Jordan inverse
-    over the rationals, with den the least common denominator; the
-    Fraction `cartan_inv` derived from it is that inverse."""
+    """The fraction-free (adj, den) is den times the inverse of the Cartan
+    matrix, with den the least common denominator; the Fraction
+    `cartan_inv` derived from it is that inverse."""
     rs = parse_type(label)
     adj, den = rs.inverse
-    inv = invert_rational(rs.cartan)
+    n = rs.rank
     assert all(type(a) is int for row in adj for a in row)
-    assert den == lcm(*(v.denominator for row in inv for v in row))
-    assert tuple(tuple(Fraction(a, den) for a in row) for row in adj) == inv
-    assert rs.cartan_inv == inv
+    assert [[sum(rs.cartan[i][k] * adj[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)] == \
+        [[den * (i == j) for j in range(n)] for i in range(n)]
+    assert gcd(den, *(a for row in adj for a in row)) == 1
+    assert rs.cartan_inv == \
+        tuple(tuple(Fraction(a, den) for a in row) for row in adj)
 
 
 def test_building_a_root_system_creates_no_fraction(count_fractions):
