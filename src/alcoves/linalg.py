@@ -1,38 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer matrices.
 
-Rank computations use sparse fraction-free elimination on integer rows;
-rational input rows are cleared of denominators first, which does not
-change the row space.  Nothing here ever touches floating point.
+Rows are {column: int} dicts of their entries; ranks come from sparse
+fraction-free elimination, so a rank is the rank over the rationals.
+Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-
-
-def _sparse_row(row) -> dict:
-    """Nonzero entries of a row of ints/Fractions, given as a list or as a
-    {column: value} dict, as {column: int}, scaled by the lcm of the
-    denominators and divided by the gcd of the result."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    sparse = {j: x for j, x in items if x}
-    if not sparse:
-        return sparse
-    denom = lcm(*(x.denominator for x in sparse.values() if type(x) is not int))
-    sparse = {j: int(x * denom) for j, x in sparse.items()}
-    content = gcd(*sparse.values())
-    if content > 1:
-        sparse = {j: x // content for j, x in sparse.items()}
-    return sparse
+from math import gcd
 
 
 def exact_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of rows of ints/Fractions,
-    each a list or a {column: value} dict of its nonzero entries.
+    """Rank of a matrix given as an iterable of {column: int} rows; zero
+    entries may be present and are dropped.
 
-    Sparse fraction-free elimination: rows are held as {column: int}
-    dicts.  Each step takes a shortest remaining row as pivot, choosing
+    Sparse fraction-free elimination: each row is divided by its content,
+    then each step takes a shortest remaining row as pivot, choosing
     its column with the fewest other nonzeros, and clears that column
     from every other row by the integer update  a*row - b*pivot  (a, b the
     pivot and row entries over their gcd), then divides the updated row
@@ -41,9 +25,9 @@ def exact_rank(rows) -> int:
     """
     live = {}
     for row in rows:
-        sparse = _sparse_row(row)
-        if sparse:
-            live[len(live)] = sparse
+        content = gcd(*row.values())
+        if content:
+            live[len(live)] = {j: x // content for j, x in row.items() if x}
     where = {}  # column -> ids of live rows with a nonzero there
     for i, row in live.items():
         for j in row:

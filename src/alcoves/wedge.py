@@ -16,13 +16,15 @@ by the convention.
 On top of the table sit exact computations on wedge powers: the Casimir
 action (through the split invariant tensor, one pair of slots at a time),
 eigenspace dimensions as nullities, and the ideal generated by the image
-of the degree-one coboundary.  Everything is graded by Cartan weight.
+of the degree-one coboundary, whose dimension is the rank of the boundary
+of u- = g (x) t^-1 C[t^-1] on Lambda^k(g t^-1).  Everything is graded by
+Cartan weight.
 The Killing form pairs only opposite weights, so it is traced on each
 root vector with its negative and on the coroot block, and only that
 rank-by-rank block is inverted.  The dual basis is scaled by the common
 denominator D of its coefficients, so the Casimir tables hold D times
-their values in plain integers.  Both the eigenspace and the coboundary
-ideal are g-submodules, so their weight multiplicities are invariant
+their values in plain integers.  The eigenspace and the boundary's image
+are both g-modules, so their weight multiplicities are invariant
 under the Weyl group W: only the blocks of dominant weight are built,
 and each counts times the size |W| / |W_J| of its weight's orbit; those
 must add up to the whole wedge power.  `_dominant_blocks` is the one
@@ -30,9 +32,10 @@ enumerator of wedge basis subsets and the block source of every oracle;
 it refuses a degree at the first dominant row over `Limits.wedge_matrix`.
 Its subsets come from a walk in index order that drops a branch once no
 choice of the remaining picks can make the weight sum dominant.
-Coboundary generators w wedge d(u) come from the same blocks: w is a
-block subset with two slots removed.  Ranks come from sparse
-fraction-free elimination (`linalg.exact_rank`) on {column: value} rows.
+The boundary maps each block subset to its brackets of two slots, read
+straight from the bracket table, wedged with the other slots; it needs no
+Killing dual.  Ranks come from sparse fraction-free elimination
+(`linalg.exact_rank`) on {column: int} rows.
 """
 
 from __future__ import annotations
@@ -463,64 +466,36 @@ def _has_highest_weight_vector(table: LieAlgebraTable, block) -> bool:
     return nullity(rows, len(block)) > 0
 
 
-@lru_cache(maxsize=None)
-def _coboundary_images(table: LieAlgebraTable):
-    """2D d(u) for each basis element u, in integers, where
-    d(u) = 1/2 sum_j x_j wedge [y_j, u]."""
-    dim = table.dim
-    ady = _dual_ad_rows(table)
-    images = []
-    for u in range(dim):
-        acc = {}
-        for j in range(dim):
-            for i, c in ady[j][u]:
-                res = _wedge_replace2((j, i), 0, 1, j, i)
-                if res is None:
-                    continue
-                sign, key = res
-                acc[key] = acc.get(key, 0) + sign * c
-        images.append(tuple((key, v) for key, v in acc.items() if v != 0))
-    return tuple(images)
-
-
 def dg_ideal_dim(table: LieAlgebraTable, k: int,
                  matrix_ceiling: int = Limits.wedge_matrix) -> int:
-    """Dimension of degree-k part of the ideal generated by the image of
-    the degree-one coboundary: rank of all (k-2)-wedges against the d(u)
-    generators, weight block by weight block.
+    """Dimension of the degree-k part of the ideal generated by the image
+    of the degree-one coboundary, read as the rank of the boundary of
+    u- = g (x) t^-1 C[t^-1] on its x-degree-k chains Lambda^k(g t^-1):
 
-    The coboundary is g-equivariant, so the ideal is a g-submodule with
-    W-invariant weight multiplicities: only the generators w wedge d(u)
-    of dominant weight mu are built, and each block's rank counts times
-    its orbit size.  A nonzero generator has a term w wedge a wedge b in
-    block mu, so each w is a block subset with two slots removed.
+        y_1 ^ ... ^ y_k  ->  sum_{i<j} (-1)^{i+j} [y_i, y_j] t^-2 ^ (the rest),
+
+    so C(dim g, k) minus it is the homology H_k(u-) of x-degree k
+    (Garland and Lepowsky, 1976).  Each target is a pair (the rest, c)
+    for the basis vector c of the bracket, numbered per block.  The
+    boundary is g-equivariant, so its rank on each dominant weight block
+    counts times the block's orbit size.
     """
-    images = _coboundary_images(table)
-    by_weight = {}
-    for u, weight in enumerate(table.weights):
-        by_weight.setdefault(weight, []).append(u)
+    brackets = table.brackets
     total = 0
     for orbit, block in _dominant_blocks(table, k, matrix_ceiling).values():
-        pos = {s: i for i, s in enumerate(block)}
-        partner = {}  # w -> the weight mu - wt(w) of its u
+        cols = {}
+        rows = []
         for s in block:
+            row = {}  # distinct pairs (i, j) leave distinct rests
             for i, j in combinations(range(k), 2):
-                w_subset = s[:i] + s[i + 1:j] + s[j + 1:]
-                if w_subset not in partner:
-                    partner[w_subset] = tuple(x + y for x, y in zip(
-                        table.weights[s[i]], table.weights[s[j]]))
-        vecs = []
-        for w_subset, weight in partner.items():
-            for u in by_weight.get(weight, ()):
-                # Distinct pairs (a, b) give distinct wedges w ^ a ^ b.
-                vec = {}
-                for (a, b), c in images[u]:
-                    if a not in w_subset and b not in w_subset:
-                        sign, key = _wedge_replace2(w_subset + (a, b),
-                                                    k - 2, k - 1, a, b)
-                        vec[pos[key]] = sign * c
-                vecs.append(vec)
-        total += orbit * exact_rank(vecs)
+                terms = brackets[s[i]][s[j]]
+                if terms:
+                    rest = s[:i] + s[i + 1:j] + s[j + 1:]
+                    sign = -1 if (i + j) & 1 else 1
+                    for c, v in terms:
+                        row[cols.setdefault((rest, c), len(cols))] = sign * v
+            rows.append(row)
+        total += orbit * exact_rank(rows)
     return total
 
 
