@@ -16,9 +16,8 @@ _EXPORTS = {
     **dict.fromkeys(("RootSystem", "build_root_system", "casimir_eigenvalue",
                      "heisenberg_count", "parse_type", "weyl_dimension"),
                     "rootsystem"),
-    **dict.fromkeys(("IntSeries", "RatPoly", "bigraded_dims", "bott_series",
-                     "euler_power", "f_poly", "f_poly_direct", "lehmer_probe"),
-                    "series"),
+    **dict.fromkeys(("RatPoly", "bigraded_dims", "bott_series", "euler_power",
+                     "f_poly", "f_poly_direct", "lehmer_probe"), "series"),
     **dict.fromkeys(("count_null_cores", "m_core", "partition_to_weight",
                      "weight_to_partition"), "typea"),
     **dict.fromkeys(("LieAlgebraTable", "build_chevalley",

@@ -1,11 +1,13 @@
 """Exact power series and polynomial engine.
 
-Integer power series are dense coefficient lists with a hard truncation
-order.  Rational polynomials in one variable back the coefficient
-polynomials f_k(s) of the s-th power of the Euler product, computed two
-independent ways: a logarithmic-derivative (divisor-sum) recurrence on
-k! f_k(s), and interpolation through the values f_k(s) = [x^k] of the
-s-th power for s = 0..k, read from the pentagonal-theorem series.
+An integer power series truncated at x^order is the plain list of its
+order + 1 coefficients; the bigraded wedge dimensions are rows of such
+lists, rows[n][k] for wedge degree n and loop degree k.  Rational
+polynomials in one variable back the coefficient polynomials f_k(s) of
+the s-th power of the Euler product, computed two independent ways: a
+logarithmic-derivative (divisor-sum) recurrence on k! f_k(s), and
+interpolation through the values f_k(s) = [x^k] of the s-th power for
+s = 0..k, read from the pentagonal-theorem series.
 """
 
 from __future__ import annotations
@@ -14,30 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 
 
-class IntSeries:
-    """Dense integer power series truncated at order K (inclusive)."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        c = list(coeffs)[: order + 1]
-        c += [0] * (order + 1 - len(c))
-        self.coeffs = c
-        self.order = order
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"IntSeries({self.coeffs!r})"
-
-
-def euler_power(e: int, order: int) -> IntSeries:
+def euler_power(e: int, order: int) -> list:
     """Coefficients of (prod_{n>=1} (1 - x^n))^e modulo x^(order+1).
 
     The product has the nonzero terms (-1)^j x^(j(3j -+ 1)/2) only (Euler's
@@ -47,6 +26,8 @@ def euler_power(e: int, order: int) -> IntSeries:
     """
     if e < 1:
         raise ValueError("exponent must be a positive integer")
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     # (k, p_k) for the nonzero p_k, k >= 1, in increasing k, past `order`.
     terms = [(j * (3 * j + t) // 2, (-1) ** j)
              for j in range(1, isqrt(order) + 2) for t in (-1, 1)]
@@ -60,10 +41,10 @@ def euler_power(e: int, order: int) -> IntSeries:
         q[n], rem = divmod(acc, n)
         if rem:
             raise AssertionError(f"Miller recurrence leaves remainder {rem} at n = {n}")
-    return IntSeries(q, order)
+    return q
 
 
-def alcove_coefficient_series(rs, order: int) -> IntSeries:
+def alcove_coefficient_series(rs, order: int) -> list:
     """The same coefficients, as a signed sum of Weyl dimensions over
     dominant alcoves with Casimir eigenvalue at most `order`.
 
@@ -73,20 +54,24 @@ def alcove_coefficient_series(rs, order: int) -> IntSeries:
     from .alcove import enumerate_dominant
     from .rootsystem import weyl_dimension
 
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     out = [0] * (order + 1)
     for e in enumerate_dominant(rs, order):
         if e.cas <= order:
             out[e.cas] += (-1) ** e.length * weyl_dimension(rs, e.lam)
-    return IntSeries(out, order)
+    return out
 
 
-def bott_series(rs, order: int) -> IntSeries:
+def bott_series(rs, order: int) -> list:
     """prod_i 1/(1 - t^{m_i}) over the exponents, modulo t^(order+1)."""
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     coeffs = [1] + [0] * order
     for m in rs.exponents:
         for j in range(m, order + 1):
             coeffs[j] += coeffs[j - m]
-    return IntSeries(coeffs, order)
+    return coeffs
 
 
 class RatPoly:
@@ -187,42 +172,26 @@ def f_poly_direct(k: int, powers=None) -> RatPoly:
     return RatPoly([Fraction(c, fact) for c in scaled])
 
 
-class BigradedTable:
-    """dim of the n-wedges in loop degree k: coefficient of y^n x^k in
-    prod_{j>=1} (1 + y x^j)^g, for n <= N and k <= K."""
-
-    __slots__ = ("dim_g", "max_n", "max_k", "_rows")
-
-    def __init__(self, dim_g: int, max_n: int, max_k: int):
-        if max_n > max_k:
-            raise ValueError("wedge degree bound must not exceed loop degree bound")
-        self.dim_g = dim_g
-        self.max_n = max_n
-        self.max_k = max_k
-        # rows[n] = coefficient series in x of y^n.
-        rows = [[1] + [0] * max_k] + [[0] * (max_k + 1) for _ in range(max_n)]
-        for j in range(1, max_k + 1):
-            # Multiply by (1 + y x^j)^g = sum_i C(g, i) y^i x^(j*i) in place,
-            # top row first: row n reads only the rows below it.
-            for n in range(max_n, 0, -1):
-                row = rows[n]
-                for i in range(1, min(dim_g, n, max_k // j) + 1):
-                    c = comb(dim_g, i)
-                    off = j * i
-                    for kk, v in enumerate(rows[n - i][:max_k + 1 - off]):
-                        if v:
-                            row[kk + off] += c * v
-        self._rows = rows
-
-    def entry(self, n: int, k: int) -> int:
-        return self._rows[n][k]
-
-    def euler_characteristic(self, k: int) -> int:
-        return sum((-1) ** n * self._rows[n][k] for n in range(self.max_n + 1))
-
-
-def bigraded_dims(dim_g: int, max_n: int, max_k: int) -> BigradedTable:
-    return BigradedTable(dim_g, max_n, max_k)
+def bigraded_dims(dim_g: int, max_n: int, max_k: int) -> list:
+    """dim of the n-wedges in loop degree k, as rows[n][k]: the
+    coefficient of y^n x^k in prod_{j>=1} (1 + y x^j)^g, for n <= max_n
+    and k <= max_k."""
+    if max_n > max_k:
+        raise ValueError("wedge degree bound must not exceed loop degree bound")
+    # rows[n] = coefficient series in x of y^n.
+    rows = [[1] + [0] * max_k] + [[0] * (max_k + 1) for _ in range(max_n)]
+    for j in range(1, max_k + 1):
+        # Multiply by (1 + y x^j)^g = sum_i C(g, i) y^i x^(j*i) in place,
+        # top row first: row n reads only the rows below it.
+        for n in range(max_n, 0, -1):
+            row = rows[n]
+            for i in range(1, min(dim_g, n, max_k // j) + 1):
+                c = comb(dim_g, i)
+                off = j * i
+                for kk, v in enumerate(rows[n - i][:max_k + 1 - off]):
+                    if v:
+                        row[kk + off] += c * v
+    return rows
 
 
 def lehmer_probe(order: int) -> dict:

@@ -29,6 +29,7 @@ def suite_ideals(rep: Report, rs: RootSystem) -> Report:
 
 def suite_peterson(rep: Report, rs: RootSystem) -> Report:
     from ..ideals import enumerate_abelian_ideals, max_abelian_dimension
+    from ..rootsystem import heisenberg_count
 
     ideals = enumerate_abelian_ideals(rs)
     rep.add("abelian-ideal-count-is-2^rank", len(ideals) == 2 ** rs.rank,
@@ -43,6 +44,9 @@ def suite_peterson(rep: Report, rs: RootSystem) -> Report:
     else:
         rep.add("max-ideal-dimension-at-least-dual-coxeter", m >= rs.h_dual,
                 {"max": m, "h_dual": rs.h_dual})
+    count = heisenberg_count(rs)
+    rep.add("heisenberg-count-is-h-dual-minus-2", count == rs.h_dual - 2,
+            {"count": count, "expected": rs.h_dual - 2})
     return rep
 
 

@@ -55,18 +55,16 @@ def suite_euler_char(rep: Report, rs: RootSystem, kmax: int = 12) -> Report:
     Euler-product coefficients; the top corner dominates through h_dual."""
     from ..series import bigraded_dims, euler_power
 
-    table = bigraded_dims(rs.dim_g, kmax, kmax)
+    rows = bigraded_dims(rs.dim_g, kmax, kmax)
     series = euler_power(rs.dim_g, kmax)
     for k in range(kmax + 1):
-        rep.add(f"euler-characteristic-k{k}",
-                table.euler_characteristic(k) == series[k],
-                {"alternating_sum": table.euler_characteristic(k),
-                 "series": series[k]})
+        alternating = sum((-1) ** n * row[k] for n, row in enumerate(rows))
+        rep.add(f"euler-characteristic-k{k}", alternating == series[k],
+                {"alternating_sum": alternating, "series": series[k]})
     for k in range(min(kmax, rs.h_dual) + 1):
         rep.add(f"corner-dominates-k{k}",
-                table.entry(k, k) >= (-1) ** k * series[k],
-                {"corner": table.entry(k, k),
-                 "target": (-1) ** k * series[k]})
+                rows[k][k] >= (-1) ** k * series[k],
+                {"corner": rows[k][k], "target": (-1) ** k * series[k]})
     return rep
 
 

@@ -44,6 +44,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, lcm
+from numbers import Rational
 from operator import add, sub
 
 from .limits import Limits
@@ -423,7 +424,7 @@ def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
 
 
 def max_casimir_eigenvalue(table: LieAlgebraTable, k: int,
-                           matrix_ceiling: int = Limits.wedge_matrix) -> Fraction:
+                           matrix_ceiling: int = Limits.wedge_matrix) -> Rational:
     """Largest Casimir eigenvalue on the k-th wedge power.
 
     Eigenvalues are Casimir scalars of the highest weights present; a

@@ -685,6 +685,18 @@ def test_exit_code_one_on_failure(capsys, monkeypatch):
     assert json.loads(out)["overall"] == "fail"
 
 
+def test_heisenberg_count_is_a_claim(capsys, monkeypatch):
+    # A wrong count fails the peterson claim (exit 1); it is not an
+    # internal error (exit 3).
+    monkeypatch.setattr("alcoves.rootsystem.heisenberg_count", lambda rs: 7)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "peterson",
+                           "--type", "A3")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if c["status"] != "pass"]
+    assert [(c["claim"], c["witness"]) for c in failed] == [
+        ("heisenberg-count-is-h-dual-minus-2", {"count": "7", "expected": "2"})]
+
+
 def test_all_suites_pass(capsys):
     cases = [
         ("peterson", ["--type", "B3"]),
@@ -881,6 +893,14 @@ def test_star_import_binds_every_export():
         assert getattr(sys.modules[names[name].__module__], name) is names[name]
     with pytest.raises(AttributeError):
         alcoves.no_such_name  # noqa: B018
+
+
+def test_every_export_has_resolvable_type_hints():
+    import typing
+
+    import alcoves
+    for name in alcoves.__all__:
+        typing.get_type_hints(getattr(alcoves, name))
 
 
 def test_ideals_e8_runs_no_alcove_search(capsys, monkeypatch):
