@@ -14,7 +14,9 @@ correctness is enforced by an exhaustive Jacobi sweep at build time, not
 by the convention.
 
 On top of the table sit exact computations on wedge powers: the Casimir
-action (through the split invariant tensor, one pair of slots at a time),
+action (on a vector of weight mu, the scalar (mu, mu + 2 rho) plus twice
+e_-alpha e_alpha / K(e_alpha, e_-alpha) summed over the positive roots,
+through the derivation action of one basis element at a time),
 eigenspace dimensions as nullities, and the ideal generated by the image
 of the degree-one coboundary, whose dimension is the rank of the boundary
 of u- = g (x) t^-1 C[t^-1] on Lambda^k(g t^-1).  Everything is graded by
@@ -22,8 +24,8 @@ Cartan weight.
 The Killing form pairs only opposite weights, so it is traced on each
 root vector with its negative and on the coroot block, and only that
 rank-by-rank block is inverted.  The dual basis is scaled by the common
-denominator D of its coefficients, so the Casimir tables hold D times
-their values in plain integers.  The eigenspace and the boundary's image
+denominator D of its coefficients, so the Casimir action is D times
+its value in plain integers.  The eigenspace and the boundary's image
 are both g-modules, so their weight multiplicities are invariant
 under the Weyl group W: only the blocks of dominant weight are built,
 and each counts times the size |W| / |W_J| of its weight's orbit; those
@@ -228,64 +230,14 @@ def _verify_jacobi(table: LieAlgebraTable) -> None:
             raise AssertionError(f"Jacobi fails on triple {(a, b, c)}")
 
 
-@lru_cache(maxsize=None)
-def _dual_ad_rows(table: LieAlgebraTable):
-    """Sparse ad-action of D times the Killing-dual basis, in integers:
-    rows[j][b] = [(i, c)]."""
-    rows = []
-    for terms in table.dual:
-        col = []
-        for b in range(table.dim):
-            acc = {}
-            for k, coeff in terms:
-                for i, c in table.brackets[k][b]:
-                    acc[i] = acc.get(i, 0) + coeff * c
-            col.append(tuple((i, c) for i, c in acc.items() if c != 0))
-        rows.append(tuple(col))
-    return tuple(rows)
-
-
 def _verify_casimir_identity(table: LieAlgebraTable) -> None:
-    """sum_j ad(x_j) ad(y_j) must be the identity on the algebra (D times
-    the identity with the scaled dual basis)."""
-    dim = table.dim
-    ady = _dual_ad_rows(table)
-    for b in range(dim):
-        acc = {}
-        for j in range(dim):
-            for i, c in ady[j][b]:
-                for i2, c2 in table.brackets[j][i]:
-                    acc[i2] = acc.get(i2, 0) + c * c2
-        expect = {b: table.killing_den}
-        acc = {i: c for i, c in acc.items() if c != 0}
-        if acc != expect:
-            raise AssertionError("Casimir does not act as the identity on the algebra")
-
-
-@lru_cache(maxsize=None)
-def _split_casimir(table: LieAlgebraTable):
-    """Pair table: omega[(a, b)] = sum_j [x_j, x_a] (x) [y_j, x_b] as a
-    tuple of (c, d, coeff), scaled by D to integers.  Weight-preserving
-    by construction."""
-    dim = table.dim
-    ady = _dual_ad_rows(table)
-    omega = {}
-    for a in range(dim):
-        for b in range(dim):
-            acc = {}
-            for j in range(dim):
-                left = table.brackets[j][a]
-                if not left:
-                    continue
-                right = ady[j][b]
-                for ic, cc in left:
-                    for id_, cd in right:
-                        key = (ic, id_)
-                        acc[key] = acc.get(key, 0) + cc * cd
-            terms = tuple((c, d, v) for (c, d), v in acc.items() if v != 0)
-            if terms:
-                omega[(a, b)] = terms
-    return omega
+    """The Casimir must act as the identity on the algebra: the route the
+    wedge oracles use, on each basis vector b of the first wedge power,
+    must give D b."""
+    for b in range(table.dim):
+        if _apply_casimir(table, (b,)) != {(b,): table.killing_den}:
+            raise AssertionError(
+                "Casimir does not act as the identity on the algebra")
 
 
 def _wedge_replace1(subset, s, c):
@@ -298,27 +250,6 @@ def _wedge_replace1(subset, s, c):
     if i < len(rest) and rest[i] == c:
         return None
     return (-1 if (i - s) & 1 else 1), rest[:i] + (c,) + rest[i:]
-
-
-def _wedge_replace2(subset, s, t, c, d):
-    """The wedge of a tuple with slots s < t set to c, d and its other
-    entries sorted, by bisection as in `_wedge_replace1`; c > d adds one
-    transposition.  With s, t the last two slots, this inserts c and d
-    into a sorted tuple."""
-    if c == d:
-        return None
-    rest = subset[:s] + subset[s + 1:t] + subset[t + 1:]
-    i = bisect_left(rest, c)
-    j = bisect_left(rest, d)
-    n = len(rest)
-    if (i < n and rest[i] == c) or (j < n and rest[j] == d):
-        return None
-    odd = (i - s + j - t + 1 + (c > d)) & 1
-    if c < d:
-        key = rest[:i] + (c,) + rest[i:j] + (d,) + rest[j:]
-    else:
-        key = rest[:j] + (d,) + rest[j:i] + (c,) + rest[i:]
-    return (-1 if odd else 1), key
 
 
 def _dominant_subsets(weights, k: int):
@@ -380,22 +311,28 @@ def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
 
 
 def _apply_casimir(table: LieAlgebraTable, subset):
-    """D theta(Cas) on a wedge basis vector, in integers: k D times itself
-    plus twice the scaled split invariant tensor on every slot pair."""
-    k = len(subset)
-    omega = _split_casimir(table)
-    out = {subset: k * table.killing_den}
-    for s in range(k):
-        for t in range(s + 1, k):
-            terms = omega.get((subset[s], subset[t]))
-            if not terms:
-                continue
-            for c, d, v in terms:
-                res = _wedge_replace2(subset, s, t, c, d)
-                if res is None:
-                    continue
-                sign, key = res
-                out[key] = out.get(key, 0) + 2 * sign * v
+    """D theta(Cas) on a wedge basis vector of weight mu, in integers:
+
+        Cas = (mu, mu + 2 rho) + 2 sum_{alpha>0} e_-alpha e_alpha / K_alpha
+
+    with K_alpha = K(e_alpha, e_-alpha), since e_alpha e_-alpha is
+    e_-alpha e_alpha + h_alpha for h_alpha = [e_alpha, e_-alpha].  D times
+    the scalar is sum_ij (D K^-1)_ij mu_i mu_j, read off the coroot rows
+    of the dual, plus sum_alpha (D / K_alpha) mu(h_alpha), D / K_alpha
+    being the one coefficient of the dual of e_alpha."""
+    rank, m = table.rs.rank, table.rs.num_positive
+    h = 2 * m
+    mu = [sum(table.weights[a][i] for a in subset) for i in range(rank)]
+    scalar = sum(c * mu[i] * mu[j - h]
+                 for i in range(rank) for j, c in table.dual[h + i])
+    out = {}
+    for a in range(m):
+        (_, d), = table.dual[a]
+        scalar += d * sum(c * mu[i - h] for i, c in table.brackets[a][a + m])
+        for key, v in _theta_single(table, a, subset).items():
+            for key2, w in _theta_single(table, a + m, key).items():
+                out[key2] = out.get(key2, 0) + 2 * d * v * w
+    out[subset] = out.get(subset, 0) + scalar
     return {key: v for key, v in out.items() if v != 0}
 
 
@@ -431,6 +368,10 @@ def max_casimir_eigenvalue(table: LieAlgebraTable, k: int,
     dominant weight is a highest weight exactly when the raising
     operators have a joint kernel on its weight block.
     """
+    if k > table.dim:
+        raise ValueError(
+            f"wedge degree {k} exceeds dim g = {table.dim}: "
+            "the wedge power is zero and has no highest weight")
     highest = [weight for weight, (_, block)
                in _dominant_blocks(table, k, matrix_ceiling).items()
                if _has_highest_weight_vector(table, block)]

@@ -649,6 +649,24 @@ def test_degenerate_killing_form_exits_three(capsys, monkeypatch):
     assert err == "internal error: Killing form is degenerate\n"
 
 
+def test_casimir_off_the_identity_exits_three(capsys, monkeypatch):
+    import alcoves.wedge as wedge
+
+    real = wedge._killing_dual
+
+    def doubled(brackets, m, l):  # twice the dual of the first root vector
+        dual, den = real(brackets, m, l)
+        (i, c), = dual[0]
+        return (((i, 2 * c),), *dual[1:]), den
+
+    monkeypatch.setattr(wedge, "_killing_dual", doubled)
+    monkeypatch.setattr(wedge, "_chevalley_table", wedge._chevalley_table.__wrapped__)
+    code, out, err = run_cli(capsys, "verify", "--suite", "seven-numbers",
+                             "--type", "A2")
+    assert (code, out) == (3, "")
+    assert err == "internal error: Casimir does not act as the identity on the algebra\n"
+
+
 def test_translation_off_the_coroot_lattice_exits_three(capsys, monkeypatch):
     import alcoves.alcove as alcove
 

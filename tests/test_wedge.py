@@ -23,7 +23,7 @@ from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _chevalley_table,
                            _dominant_blocks, _dominant_subsets,
                            _has_highest_weight_vector, _killing_dual,
                            _structure_constants, _theta_single, _verify_jacobi,
-                           _wedge_replace1, _wedge_replace2, build_chevalley,
+                           _wedge_replace1, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
 
@@ -301,6 +301,33 @@ def test_dual_basis_inverts_the_trace_form(label):
     assert gcd(den, *(c for row in dual for c in row.values())) == 1
 
 
+def casimir_by_definition(table, subset):
+    """D theta(Cas) as sum_j theta(x_j) theta(D y_j), with D y_j read off
+    the scaled dual rows: the definition, kept as the oracle of the
+    weight formula in `_apply_casimir`."""
+    out = {}
+    for j, terms in enumerate(table.dual):
+        for i, c in terms:
+            for key, v in _theta_single(table, i, subset).items():
+                for key2, w in _theta_single(table, j, key).items():
+                    out[key2] = out.get(key2, 0) + c * v * w
+    return {key: v for key, v in out.items() if v != 0}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3"])
+def test_casimir_weight_formula_is_the_definition(label):
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    if label == "C3":  # every dominant-block subset up to degree 4
+        subsets = [s for k in range(5) for _, block in
+                   _dominant_blocks(table, k, Limits.wedge_matrix).values()
+                   for s in block]
+    else:
+        subsets = combinations(range(table.dim), 3)
+    for s in subsets:
+        assert _apply_casimir(table, s) == casimir_by_definition(table, s), s
+
+
 def test_one_table_per_root_system():
     rs = parse_type("B2")
     table = build_chevalley(rs)
@@ -398,12 +425,20 @@ def test_max_eigenvalue_g2_boundary():
     assert max_casimir_eigenvalue(table, 4) < 4
 
 
-@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_max_eigenvalue_refuses_a_zero_wedge_power():
+    table = build_chevalley(parse_type("A1"))
+    assert max_casimir_eigenvalue(table, 3) == 0
+    with pytest.raises(ValueError, match="exceeds dim g = 3"):
+        max_casimir_eigenvalue(table, 4)
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["F4", "E6", "E7"])
 def test_ideal_wedges_are_top_eigenvectors(label):
     rs = parse_type(label)
-    table = build_chevalley(rs)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
     res = verify_ideal_top_vectors(table, enumerate_abelian_ideals(rs))
     assert res["ok"]
+    assert res["checked"] == 2 ** rs.rank  # Peterson's count
 
 
 def test_matrix_ceiling_guard():
@@ -675,17 +710,3 @@ def test_slot_replacement_matches_generic_normalize(label):
                 repl = list(subset)
                 repl[s] = c
                 assert _wedge_replace1(subset, s, c) == _wedge_normalize(repl)
-            for t in range(s + 1, 3):
-                for c in range(dim):
-                    for d in range(dim):
-                        repl = list(subset)
-                        repl[s], repl[t] = c, d
-                        assert _wedge_replace2(subset, s, t, c, d) == \
-                            _wedge_normalize(repl)
-    # Two indices inserted into a sorted tuple, as the coboundary uses it.
-    for n in range(3):
-        for w in combinations(range(dim), n):
-            for a in range(dim):
-                for b in range(dim):
-                    assert _wedge_replace2(w + (a, b), n, n + 1, a, b) == \
-                        _wedge_normalize(w + (a, b))
