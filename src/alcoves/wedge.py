@@ -13,30 +13,33 @@ straight from it.  Any consistent choice gives an isomorphic algebra;
 correctness is enforced by an exhaustive Jacobi sweep at build time, not
 by the convention.
 
-On top of the table sit exact computations on wedge powers: the Casimir
-action (on a vector of weight mu, the scalar (mu, mu + 2 rho) plus twice
-e_-alpha e_alpha / K(e_alpha, e_-alpha) summed over the positive roots,
-through the derivation action of one basis element at a time),
-eigenspace dimensions as nullities, and the ideal generated by the image
-of the degree-one coboundary, whose dimension is the rank of the boundary
-of u- = g (x) t^-1 C[t^-1] on Lambda^k(g t^-1).  Everything is graded by
-Cartan weight.
-The Killing form pairs only opposite weights, so it is traced on each
-root vector with its negative and on the coroot block, and only that
-rank-by-rank block is inverted.  The dual basis is scaled by the common
-denominator D of its coefficients, so the Casimir action is D times
-its value in plain integers.  The eigenspace and the boundary's image
-are both g-modules, so their weight multiplicities are invariant
-under the Weyl group W: only the blocks of dominant weight are built,
-and each counts times the size |W| / |W_J| of its weight's orbit; those
-must add up to the whole wedge power.  `_dominant_blocks` is the one
-enumerator of wedge basis subsets and the block source of every oracle;
-it refuses a degree at the first dominant row over `Limits.wedge_matrix`.
-Its subsets come from a walk in index order that drops a branch once no
-choice of the remaining picks can make the weight sum dominant.
+On top of the table sit exact computations on wedge powers, graded by
+Cartan weight: the Casimir action (on a vector of weight mu, the scalar
+(mu, mu + 2 rho) plus twice e_-alpha e_alpha / K(e_alpha, e_-alpha)
+summed over the positive roots, through the derivation action of one
+basis element at a time), eigenspace dimensions by highest weights, and
+the ideal generated by the image of the degree-one coboundary, whose
+dimension is the rank of the boundary of u- = g (x) t^-1 C[t^-1] on
+Lambda^k(g t^-1).  The Killing form pairs only opposite weights, so it
+is traced on each root vector with its negative and on the coroot block,
+and only that block is inverted.  The dual basis is scaled by the common
+denominator D of its coefficients, so the Casimir action, which checks
+the table and the ideal wedges, is D times its value in integers.
+Weight multiplicities of a g-module are W-invariant, so only the blocks
+of dominant weight are built, and times the sizes |W| / |W_J| of their
+weights' orbits they must fill the wedge power.  `_dominant_blocks` is
+the one enumerator of wedge basis subsets and the block source of every
+oracle; it refuses a degree at the first dominant row over
+`Limits.wedge_matrix`.  Its subsets come from a walk in index order that
+drops a branch once no choice of the remaining picks can make the weight
+sum dominant.  The wedge power is a sum of irreducibles V(lambda), each
+as often as the simple raising operators have a kernel on the block of
+weight lambda, with Casimir the scalar cas(lambda): the eigenvalue-k
+eigenspace sums those kernels times dim V(lambda) over cas(lambda) = k.
 The boundary maps each block subset to its brackets of two slots, read
-straight from the bracket table, wedged with the other slots; it needs no
-Killing dual.  Ranks come from sparse fraction-free elimination
+straight from the bracket table, wedged with the other slots; it is
+g-equivariant, so its rank on each dominant block counts times the orbit
+size.  Ranks come from sparse fraction-free elimination
 (`linalg.exact_rank`) on {column: int} rows.
 """
 
@@ -53,7 +56,7 @@ from .limits import Limits
 from .linalg import exact_rank, nullity
 from .rootsystem import (FrozenRecord, RootSystem, _cleared_inverse,
                          _coroot_coords, _string_start, casimir_eigenvalue,
-                         weyl_orbit_size)
+                         weyl_dimension, weyl_orbit_size)
 
 
 class LieAlgebraTable(FrozenRecord):
@@ -286,7 +289,7 @@ def _dominant_blocks(table: LieAlgebraTable, k: int, matrix_ceiling: int):
     """The weight blocks of the k-th wedge power whose weight is dominant,
     as {weight: (orbit size, block)}: the one place where wedge basis
     subsets are enumerated, by `_dominant_subsets`.  Their total size,
-    the rows every wedge oracle builds, must not exceed `matrix_ceiling`;
+    the rows of the walk, must not exceed `matrix_ceiling`;
     the walk stops at the first row over it.  Weight multiplicities are
     W-invariant, so these blocks times their orbit sizes must fill the
     whole wedge power: this check proves the pruned walk complete.  The
@@ -341,23 +344,17 @@ def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
     """Dimension of the eigenvalue-k eigenspace of the Casimir action on
     the k-th wedge power.
 
-    The eigenspace is a g-submodule, so its weight multiplicities are
-    W-invariant: only the blocks of dominant weight are solved, by exact
-    nullity of D (Cas - k), and each counts times its orbit size.
+    The wedge power is a sum of irreducibles V(lambda), each as often as
+    the highest-weight vectors in the block of weight lambda, with Casimir
+    the scalar cas(lambda).  So the eigenspace sums those multiplicities
+    times dim V(lambda) over the weights with cas(lambda) = k; for k >= 1
+    it never ranks the zero-weight block, whose Casimir is 0.
     """
-    shift = k * table.killing_den
-    total = 0
-    for orbit, block in _dominant_blocks(table, k, matrix_ceiling).values():
-        pos = {s: i for i, s in enumerate(block)}
-        rows = []
-        for i, s in enumerate(block):
-            row = {pos[key]: v for key, v in _apply_casimir(table, s).items()}
-            row[i] = row.get(i, 0) - shift
-            rows.append(row)
-        # Nullity of the transpose equals nullity of the matrix here
-        # (square), so orientation does not matter.
-        total += orbit * nullity(rows, len(block))
-    return total
+    rs = table.rs
+    return sum(_highest_weight_multiplicity(table, block) *
+               weyl_dimension(rs, weight) for weight, (_, block)
+               in _dominant_blocks(table, k, matrix_ceiling).items()
+               if casimir_eigenvalue(rs, weight) == k)
 
 
 def max_casimir_eigenvalue(table: LieAlgebraTable, k: int,
@@ -374,7 +371,7 @@ def max_casimir_eigenvalue(table: LieAlgebraTable, k: int,
             "the wedge power is zero and has no highest weight")
     highest = [weight for weight, (_, block)
                in _dominant_blocks(table, k, matrix_ceiling).items()
-               if _has_highest_weight_vector(table, block)]
+               if _highest_weight_multiplicity(table, block)]
     if not highest:
         raise AssertionError("no highest weight found in a nonzero module")
     return max(casimir_eigenvalue(table.rs, weight) for weight in highest)
@@ -393,19 +390,20 @@ def _theta_single(table: LieAlgebraTable, gen: int, subset):
     return out
 
 
-def _has_highest_weight_vector(table: LieAlgebraTable, block) -> bool:
-    """Whether the simple raising operators have a joint kernel on a
-    weight block.  Each row holds one block vector's images under all of
-    them: the transpose of the stacked operator matrices, so it has the
-    same rank.  The images under different operators lie in different
-    weight blocks, so their subsets never share a column."""
+def _highest_weight_multiplicity(table: LieAlgebraTable, block) -> int:
+    """Dimension of the joint kernel of the simple raising operators on a
+    weight block, the span of its highest-weight vectors.  Each row holds
+    one block vector's images under all of them: the transpose of the
+    stacked operator matrices, so it has the same rank.  The images under
+    different operators lie in different weight blocks, so their subsets
+    never share a column."""
     rs = table.rs
     units = (tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank))
     gens = [table.root_vector(rs.root_index(unit)) for unit in units]
     rows = [{key: v for gen in gens
              for key, v in _theta_single(table, gen, s).items()}
             for s in block]
-    return nullity(rows, len(block)) > 0
+    return nullity(rows, len(block))
 
 
 def dg_ideal_dim(table: LieAlgebraTable, k: int,
@@ -444,6 +442,7 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
 def verify_ideal_top_vectors(table: LieAlgebraTable, ideals) -> dict:
     """Each abelian ideal's decomposable wedge must be a Casimir
     eigenvector with eigenvalue its size."""
+    ideals = tuple(ideals)
     failures = []
     for xi in ideals:
         subset = tuple(sorted(table.root_vector(i) for i in xi.roots))
@@ -453,5 +452,5 @@ def verify_ideal_top_vectors(table: LieAlgebraTable, ideals) -> dict:
         img = _apply_casimir(table, subset)
         if img != {subset: k * table.killing_den}:
             failures.append(xi)
-    return {"checked": len(list(ideals)), "failures": failures,
+    return {"checked": len(ideals), "failures": failures,
             "ok": not failures}

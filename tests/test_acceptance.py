@@ -83,13 +83,13 @@ def test_criterion_02_big_types():
 
 def test_criterion_03_seven_numbers():
     with Budget("criterion 3: five computations agree for k <= h_dual "
-                "on A1 A2 B2 G2 A3 C3", 600):
-        # A3 (dim 15) and C3 (dim 21) are over the default Chevalley
-        # ceiling, which is raised for them alone.  C3's largest wedge
-        # degree needs 542 dominant-block rows, within `wedge_matrix`.
-        wider = {label: Limits(chevalley_dim=21)
-                 for label in ("A3", "C3")}
-        for label in ["A1", "A2", "B2", "G2", "A3", "C3"]:
+                "on A1 A2 B2 G2 A3 C3 B3 A4", 600):
+        # A3 (dim 15), C3 and B3 (dim 21) and A4 (dim 24) are over the
+        # default Chevalley ceiling, which is raised for them alone.  Their
+        # largest wedge degrees fit the default `wedge_matrix`.
+        wider = {label: Limits(chevalley_dim=parse_type(label).dim_g)
+                 for label in ("A3", "C3", "B3", "A4")}
+        for label in ["A1", "A2", "B2", "G2", "A3", "C3", "B3", "A4"]:
             report = run_suite("seven-numbers", label, wider.get(label, Limits()))
             assert len(report.checks) == parse_type(label).h_dual + 2, label
             _assert_all_pass(report, label)
