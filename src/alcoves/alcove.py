@@ -15,17 +15,22 @@ sigma(0) is never tracked.  The point yields, for each dominant alcove:
 * the distinguished dominant weight with 2*(lambda + rho) = sigma(2*rho),
 * its Casimir eigenvalue, the triangular-number sum of the n_phi.
 
-Breadth-first search over right multiplication by the l + 1 affine simple
-reflections visits every dominant alcove exactly once: the open dominant
-chamber is convex, so a dominant alcove of length n + 1 always has a
-dominant facet neighbor of length n.
+The search walks up one length at a time, applying each reflection
+y -> y - (beta(y) - c) beta^vee in a wall beta = c as a rank-one update.
+A frontier alcove carries the images w beta_g^vee of the coroots of the
+l + 1 walls alpha_i = 0 and psi = 1; crossing wall g moves x along
+w beta_g^vee = +-phi^vee, with phi the root whose wall is crossed, and a
+lookup among the positive coroots keeps the crossings that raise n_phi by
+one.  These cross no wall phi = 0, so they stay dominant, and they reach
+every dominant alcove of length n + 1: the open dominant chamber is
+convex, so each has a dominant facet neighbor of length n.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .rootsystem import RootSystem, _coroot_coords, _integer_inverse
 
@@ -49,49 +54,14 @@ def evaluate_root(coords, point):
 
 
 @lru_cache(maxsize=None)
-def _affine_reflection(rs: RootSystem, beta: tuple):
-    """The reflection in the affine wall beta = 1 of a positive root beta
-    (simple-root coordinates), y -> y - (beta(y) - 1) beta^vee, as the
-    (matrix, translation) pair (I - beta^vee (x) beta, beta^vee) acting on
-    evaluation vectors; beta^vee enters through alpha_j(beta^vee) =
-    sum_i c_i a_ij, with c its simple-coroot coordinates."""
-    l = rs.rank
+def _coroot(rs: RootSystem, beta: tuple) -> tuple:
+    """The evaluation vector of beta^vee for a positive root beta
+    (simple-root coordinates): alpha_j(beta^vee) = sum_i c_i a_ij, with c
+    its simple-coroot coordinates.  The reflection in the affine wall
+    beta = c is y -> y - (beta(y) - c) beta^vee."""
     coords = _coroot_coords(rs, beta)
-    coroot = tuple(sum(c * row[j] for c, row in zip(coords, rs.cartan))
-                   for j in range(l))
-    mat = tuple(tuple(int(j == k) - coroot[j] * beta[k] for k in range(l))
-                for j in range(l))
-    return mat, coroot
-
-
-def _generators(rs: RootSystem):
-    """The l + 1 affine simple reflections g as pairs (matrix, g(x0) - x0)
-    on evaluation vectors, for the walls alpha_i = 0 and psi = 1.  The wall
-    alpha_i = 0 has the matrix of the wall alpha_i = 1, without its
-    translation.  The reflection in the wall beta = c moves x0 by
-    -(beta(x0) - c) beta^vee."""
-    l = rs.rank
-    walls = [(tuple(int(i == j) for j in range(l)), 0) for i in range(l)]
-    walls.append((rs.positive_roots[rs.highest_root], rs.scale))
-    gens = []
-    for beta, level in walls:
-        mat, coroot = _affine_reflection(rs, beta)
-        shift = evaluate_root(beta, rs.sym) - level
-        gens.append((mat, tuple(-shift * c for c in coroot)))
-    return tuple(gens)
-
-
-def _mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _mat_vec(a, v):
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def _wall_counts(rs: RootSystem, x) -> tuple:
-    return tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
+    return tuple(sum(c * row[j] for c, row in zip(coords, rs.cartan))
+                 for j in range(rs.rank))
 
 
 def _element_from_map(rs: RootSystem, w, x, n_vec) -> AffineElement:
@@ -106,10 +76,6 @@ def _element_from_map(rs: RootSystem, w, x, n_vec) -> AffineElement:
                          lam=tuple(lam), cas=cas)
 
 
-def _is_dominant(point) -> bool:
-    return all(v > 0 for v in point)
-
-
 @lru_cache(maxsize=None)
 def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
     """All dominant alcoves of length at most `max_length`, ordered by
@@ -117,47 +83,66 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
     l = rs.rank
-    identity = _element_from_map(
-        rs, tuple(tuple(int(i == j) for j in range(l)) for i in range(l)),
-        rs.sym, _wall_counts(rs, rs.sym))
-    # (e g)(x0) = e.x + e.w (g(x0) - x0): one matrix-vector product per
-    # candidate; the matrix product e.w g is formed only when it is kept.
-    gens = _generators(rs)
-    seen = {identity.x}
+    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+    walls = [(row, 0) for row in eye]
+    walls.append((rs.positive_roots[rs.highest_root], rs.scale))
+    coroots = tuple(_coroot(rs, beta) for beta, _ in walls)
+    up = {_coroot(rs, phi): j for j, phi in enumerate(rs.positive_roots)}
+    down = {tuple(-c for c in v): j for v, j in up.items()}
+    # Per wall g: c_g - beta_g(x0) (> 0 only for psi), the lookup of an
+    # upward crossing, beta_g and the pairings beta_g(beta_h^vee).
+    gens = []
+    for beta, level in walls:
+        step = level - evaluate_root(beta, rs.sym)
+        gens.append((step, up if step > 0 else down, beta,
+                     tuple(evaluate_root(beta, v) for v in coroots)))
+    identity = _element_from_map(rs, eye, rs.sym, (0,) * rs.num_positive)
     out = [identity]
-    frontier = [identity]
-    for target in range(1, max_length + 1):
-        new = []
-        for e in frontier:
-            for gmat, step in gens:
-                x = tuple(map(add, e.x, _mat_vec(e.w, step)))
-                if not _is_dominant(x) or x in seen:
+    frontier = [(identity, coroots)]
+    for _ in range(max_length):
+        new = {}
+        for e, images in frontier:
+            for (step, lookup, beta, pairs), v in zip(gens, images):
+                j = lookup.get(v)
+                if j is None:
                     continue
-                n_vec = _wall_counts(rs, x)
-                if sum(n_vec) != target:
+                x = tuple(a + step * b for a, b in zip(e.x, v))
+                if x in new:
                     continue
-                seen.add(x)
-                new.append(_element_from_map(rs, _mat_mul(e.w, gmat), x, n_vec))
-        new.sort(key=lambda e: e.n_vec)
-        out.extend(new)
-        frontier = new
+                n_vec = list(e.n_vec)
+                n_vec[j] += 1
+                w = tuple(tuple(a - b * c for a, c in zip(row, beta))
+                          for row, b in zip(e.w, v))
+                new[x] = (_element_from_map(rs, w, x, tuple(n_vec)),
+                          tuple(tuple(a - p * b for a, b in zip(img, v))
+                                for img, p in zip(images, pairs)))
+        frontier = sorted(new.values(), key=lambda pair: pair[0].n_vec)
+        out.extend(e for e, _ in frontier)
     return tuple(out)
 
 
 def reflect_in_wall(rs: RootSystem, e: AffineElement, idx: int) -> AffineElement:
     """s e for the reflection s in the affine wall beta = 1 of the positive
     root with index `idx`: the alcove of `e` mirrored in that wall, by one
-    left multiplication.  With s(y) = M y + beta^vee, the product has the
-    point s(x) and the linear part M w."""
-    mat, coroot = _affine_reflection(rs, rs.positive_roots[idx])
-    x = tuple(v + rs.scale * c for v, c in zip(_mat_vec(mat, e.x), coroot))
-    return _element_from_map(rs, _mat_mul(mat, e.w), x, _wall_counts(rs, x))
+    left multiplication.  The product has the point
+    s(x) = x + (scale - beta(x)) beta^vee and the linear part
+    w - beta^vee (w^T beta)^T."""
+    beta = rs.positive_roots[idx]
+    coroot = _coroot(rs, beta)
+    step = rs.scale - evaluate_root(beta, e.x)
+    x = tuple(a + step * c for a, c in zip(e.x, coroot))
+    pulled = tuple(evaluate_root(beta, col) for col in zip(*e.w))
+    w = tuple(tuple(a - c * b for a, b in zip(row, pulled))
+              for row, c in zip(e.w, coroot))
+    n_vec = tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
+    return _element_from_map(rs, w, x, n_vec)
 
 
 def apply_element(rs: RootSystem, e: AffineElement, point) -> tuple:
     """Apply the affine transformation of `e` to a point given in units
     of 1/scale: x + w (point - x0)."""
-    return tuple(map(add, e.x, _mat_vec(e.w, tuple(map(sub, point, rs.sym)))))
+    d = tuple(map(sub, point, rs.sym))
+    return tuple(a + evaluate_root(row, d) for a, row in zip(e.x, e.w))
 
 
 def finite_part_length(rs: RootSystem, e: AffineElement) -> int:
@@ -209,7 +194,7 @@ def reduce_to_fundamental(rs: RootSystem, point):
     """
     l = rs.rank
     psi = rs.positive_roots[rs.highest_root]
-    pv = _affine_reflection(rs, psi)[1]
+    pv = _coroot(rs, psi)
     p = tuple(point)
     parity = 1
     while True:

@@ -29,8 +29,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .alcove import (AffineElement, enumerate_dominant, enumerate_wf2, in_wf2,
-                     reflect_in_wall)
+# `alcove` is imported only where alcoves are read; annotations name
+# `AffineElement` through the package's lazy exports.
+import alcoves
+
 from .limits import Limits
 from .rootsystem import RootSystem, weyl_dimension
 
@@ -139,6 +141,8 @@ def _wf2_by_nvec(rs: RootSystem):
     so enumerating up to the maximal abelian-ideal size is exhaustive for
     the indicator vectors we ever look up.
     """
+    from .alcove import enumerate_wf2
+
     bound = max_abelian_dimension(rs)
     return {e.n_vec: e for e in enumerate_wf2(rs, bound)}
 
@@ -156,6 +160,8 @@ def _alcove_by_ideal(rs: RootSystem) -> dict:
     ideal, from the fundamental alcove, with each result's wall counts
     checked against the indicator of I.
     """
+    from .alcove import enumerate_dominant, reflect_in_wall
+
     table = {}
     for xi in enumerate_abelian_ideals(rs):
         if xi.roots:
@@ -172,7 +178,7 @@ def _alcove_by_ideal(rs: RootSystem) -> dict:
     return table
 
 
-def ideal_to_sigma(rs: RootSystem, xi: AbelianIdeal) -> AffineElement:
+def ideal_to_sigma(rs: RootSystem, xi: AbelianIdeal) -> alcoves.AffineElement:
     """The unique dominant alcove whose wall counts are the indicator of
     the ideal's root set."""
     e = _alcove_by_ideal(rs).get(xi.roots)
@@ -181,8 +187,10 @@ def ideal_to_sigma(rs: RootSystem, xi: AbelianIdeal) -> AffineElement:
     return e
 
 
-def sigma_to_ideal(rs: RootSystem, e: AffineElement) -> AbelianIdeal:
+def sigma_to_ideal(rs: RootSystem, e: alcoves.AffineElement) -> AbelianIdeal:
     """Inverse direction; rejects alcoves outside 2*A1."""
+    from .alcove import in_wf2
+
     if not in_wf2(rs, e):
         raise ValueError("alcove does not lie in twice the fundamental alcove")
     roots = frozenset(i for i, n in enumerate(e.n_vec) if n == 1)
@@ -309,6 +317,8 @@ def verify_root_partition_bound(
     candidate is checked at once.  `partitions` counts the candidates and
     `visited` the nodes expanded.
     """
+    from .alcove import enumerate_dominant
+
     P, R, unit = _pairing_tables(rs)
     m = rs.num_positive
     count = _count_partitions(m, cas_ceiling)

@@ -2,14 +2,17 @@
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
 from alcoves.alcove import (apply_element, chi_at_type_rho, counts_by_length,
                             enumerate_dominant, enumerate_wf2,
                             finite_part_length, ideal_chain, in_wf2,
-                            reduce_to_fundamental, two_rho_pairing_killing)
-from alcoves.ideals import _pairing_tables, is_abelian, is_ideal
+                            reduce_to_fundamental, reflect_in_wall,
+                            two_rho_pairing_killing)
+from alcoves.ideals import (_alcove_by_ideal, _pairing_tables, is_abelian,
+                            is_ideal)
 from alcoves.rootsystem import casimir_eigenvalue, parse_type, weyl_dimension
 from alcoves.series import _scaled_fk_rows, bott_series, euler_power
 from alcoves.wedge import _apply_casimir, build_chevalley, dg_ideal_dim
@@ -147,13 +150,14 @@ def _translation_tracking_bfs(rs, max_length):
     return out
 
 
-@pytest.mark.parametrize("label", SMALL_TYPES)
+@pytest.mark.parametrize("label", SMALL_TYPES + ["E7", "E8"])
 def test_search_matches_translation_tracking_oracle(label):
-    """The point-and-linear-part search finds the alcoves of the search
-    that threads the translation, field for field; the oracle's coroot
-    coordinates are those of sigma(0) / scale, recovered from (x, w)."""
+    """The coroot-image walk finds the alcoves of the search that threads
+    the translation, field for field; the oracle's coroot coordinates are
+    those of sigma(0) / scale, recovered from (x, w).  A3 runs to the
+    depth of the `bott` benchmark job, E7 and E8 each to under a second."""
     rs = parse_type(label)
-    depth = 6 if label in ("F4", "E6") else 8
+    depth = {"A3": 30, "F4": 6, "E6": 6, "E7": 32, "E8": 44}.get(label, 8)
     oracle = _translation_tracking_bfs(rs, depth)
     elements = enumerate_dominant(rs, depth)
     assert len(elements) == len(oracle)
@@ -164,6 +168,34 @@ def test_search_matches_translation_tracking_oracle(label):
         z = tuple(sum(rs.cartan_inv[j][i] * Fraction(origin[j], rs.scale)
                       for j in range(rs.rank)) for i in range(rs.rank))
         assert z == o["z"]
+
+
+@pytest.mark.parametrize("label", SMALL_TYPES)
+def test_reflect_in_wall_matches_the_matrix_form(label):
+    """The rank-one reflection equals the full affine map s(y) = M y +
+    scale beta^vee, M = I - beta^vee (x) beta, applied as matrices, with
+    alpha_j(beta^vee) = 2 (beta, alpha_j) / (beta, beta) from the form."""
+    rs = parse_type(label)
+    l = rs.rank
+    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+    for idx, beta in enumerate(rs.positive_roots):
+        coroot = tuple(2 * rs.pair(beta, eye[j]) // rs.pair(beta, beta)
+                       for j in range(l))
+        mat = tuple(tuple(eye[j][k] - coroot[j] * beta[k] for k in range(l))
+                    for j in range(l))
+        for e in enumerate_dominant(rs, 4):
+            x = tuple(sum(map(mul, row, e.x)) + rs.scale * c
+                      for row, c in zip(mat, coroot))
+            w = tuple(tuple(sum(row[i] * e.w[i][k] for i in range(l))
+                            for k in range(l)) for row in mat)
+            n_vec = tuple(sum(map(mul, root, x)) // rs.scale
+                          for root in rs.positive_roots)
+            assert all(v % s == 0 for v, s in zip(x, rs.sym))
+            got = reflect_in_wall(rs, e, idx)
+            assert (got.x, got.w, got.n_vec) == (x, w, n_vec)
+            assert got.length == sum(n_vec)
+            assert got.lam == tuple(v // s - 1 for v, s in zip(x, rs.sym))
+            assert got.cas == sum(n * (n + 1) // 2 for n in n_vec)
 
 
 def test_translation_off_the_coroot_lattice_is_refused(monkeypatch):
@@ -202,14 +234,16 @@ def test_ordering_contract(label):
 
 
 def test_integer_routes_create_no_fraction(count_fractions):
-    """The alcove search, the character, the Weyl dimension, the pairing
-    tables, the Euler powers, the k! f_k table, the scaled Casimir action
-    and the boundary ranks run on plain integers end to end."""
+    """The alcove search, the ideal -> alcove reflections, the character,
+    the Weyl dimension, the pairing tables, the Euler powers, the k! f_k
+    table, the scaled Casimir action and the boundary ranks run on plain
+    integers end to end."""
     for label in ["A3", "B2", "G2"]:
         rs = parse_type(label)
         table = build_chevalley(rs, dim_ceiling=rs.dim_g)
         with count_fractions() as created:
             elements = enumerate_dominant.__wrapped__(rs, 6)
+            _alcove_by_ideal.__wrapped__(rs)
             for e in elements:
                 chi_at_type_rho(rs, e.lam)
                 weyl_dimension(rs, e.lam)

@@ -892,6 +892,18 @@ def test_series_suites_load_no_alcove_or_ideal_module(argv):
     assert not loaded & {"alcoves.alcove", "alcoves.ideals"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "interpolation"),
+    ("verify", "--suite", "subset-bound", "--type", "F4", "--kmax", "6"),
+])
+def test_ideal_sums_and_sweeps_load_no_alcove_module(argv):
+    """`dim_Ck` and the subset sweep read no alcove, so `ideals` imports
+    `alcove` only inside the functions that do."""
+    loaded = loaded_modules(run_commands(argv))
+    assert "alcoves.ideals" in loaded
+    assert "alcoves.alcove" not in loaded
+
+
 def test_ideals_command_loads_only_what_it_runs():
     loaded = loaded_modules(run_commands(("ideals", "--type", "E6")))
     assert "alcoves.ideals" in loaded
@@ -932,7 +944,6 @@ def test_ideals_e8_runs_no_alcove_search(capsys, monkeypatch):
         return real(rs, max_length)
 
     monkeypatch.setattr(alcoves.alcove, "enumerate_dominant", guarded)
-    monkeypatch.setattr(alcoves.ideals, "enumerate_dominant", guarded)
     alcoves.ideals._alcove_by_ideal.cache_clear()
     try:
         code, out, err = run_cli(capsys, "ideals", "--type", "E8")
@@ -943,9 +954,10 @@ def test_ideals_e8_runs_no_alcove_search(capsys, monkeypatch):
 
 
 def test_reflection_wall_count_mismatch_exits_three(capsys, monkeypatch):
+    import alcoves.alcove
     import alcoves.ideals
     # Skipping the reflection leaves the parent ideal's wall counts.
-    monkeypatch.setattr(alcoves.ideals, "reflect_in_wall", lambda rs, e, idx: e)
+    monkeypatch.setattr(alcoves.alcove, "reflect_in_wall", lambda rs, e, idx: e)
     alcoves.ideals._alcove_by_ideal.cache_clear()
     try:
         code, out, err = run_cli(capsys, "ideals", "--type", "B2")
