@@ -9,7 +9,8 @@ from importlib import import_module
 
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
-    **dict.fromkeys(("AffineElement", "chi_at_type_rho", "enumerate_dominant",
+    **dict.fromkeys(("AffineElement", "chi_at_type_rho",
+                     "enumerate_casimir_bounded", "enumerate_dominant",
                      "ideal_chain", "in_wf2", "reduce_to_fundamental"), "alcove"),
     **dict.fromkeys(("AbelianIdeal", "dim_Ck", "enumerate_abelian_ideals",
                      "ideal_to_sigma", "sigma_to_ideal"), "ideals"),

@@ -23,7 +23,11 @@ w beta_g^vee = +-phi^vee, with phi the root whose wall is crossed, and a
 lookup among the positive coroots keeps the crossings that raise n_phi by
 one.  These cross no wall phi = 0, so they stay dominant, and they reach
 every dominant alcove of length n + 1: the open dominant chamber is
-convex, so each has a dominant facet neighbor of length n.
+convex, so each has a dominant facet neighbor of length n.  Such a
+crossing raises cas by the new n_phi >= 1, so the walk bounded by a
+Casimir ceiling drops every alcove over it and still reaches all below.
+The character at type rho needs no walk and no fold: it is read from the
+values phi(X) of `rootsystem._rho_values`, one per positive root.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul, sub
 
-from .rootsystem import RootSystem, _coroot_coords, _integer_inverse
+from .rootsystem import (RootSystem, _coroot_coords, _integer_inverse,
+                         _rho_values)
 
 
 class AffineElement(namedtuple("AffineElement", "x w n_vec length lam cas")):
@@ -64,15 +69,14 @@ def _coroot(rs: RootSystem, beta: tuple) -> tuple:
                  for j in range(rs.rank))
 
 
-def _element_from_map(rs: RootSystem, w, x, n_vec) -> AffineElement:
+def _element_from_map(rs: RootSystem, w, x, n_vec, length, cas) -> AffineElement:
     lam = []
     for xi, s in zip(x, rs.sym):
         m, rem = divmod(xi, s)
         if rem:
             raise AssertionError("alcove weight is not integral")
         lam.append(m - 1)
-    cas = sum(n * (n + 1) // 2 for n in n_vec)
-    return AffineElement(x=x, w=w, n_vec=n_vec, length=sum(n_vec),
+    return AffineElement(x=x, w=w, n_vec=n_vec, length=length,
                          lam=tuple(lam), cas=cas)
 
 
@@ -82,6 +86,26 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
     ascending length and then lexicographically by wall-count vector."""
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
+    # An alcove of length n has cas = sum n_phi (n_phi + 1) / 2 at most
+    # n (n + 1) / 2, so this ceiling drops nothing.
+    return _walk(rs, max_length, max_length * (max_length + 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def enumerate_casimir_bounded(rs: RootSystem, ceiling: int) -> tuple:
+    """All dominant alcoves with Casimir eigenvalue at most `ceiling`, in
+    the order of `enumerate_dominant`.  Every upward crossing raises cas
+    by the new n_phi >= 1, so an alcove's walk predecessors have smaller
+    cas, the walk may drop every alcove over the ceiling, and lengths up
+    to `ceiling` suffice."""
+    if ceiling < 0:
+        raise ValueError("ceiling must be nonnegative")
+    return _walk(rs, ceiling, ceiling)
+
+
+def _walk(rs: RootSystem, max_length: int, ceiling: int) -> tuple:
+    """The dominant alcoves of length at most `max_length` reached through
+    alcoves with cas at most `ceiling`."""
     l = rs.rank
     eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
     walls = [(row, 0) for row in eye]
@@ -96,15 +120,18 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
         step = level - evaluate_root(beta, rs.sym)
         gens.append((step, up if step > 0 else down, beta,
                      tuple(evaluate_root(beta, v) for v in coroots)))
-    identity = _element_from_map(rs, eye, rs.sym, (0,) * rs.num_positive)
+    identity = _element_from_map(rs, eye, rs.sym, (0,) * rs.num_positive, 0, 0)
     out = [identity]
     frontier = [(identity, coroots)]
-    for _ in range(max_length):
+    for length in range(1, max_length + 1):
         new = {}
         for e, images in frontier:
             for (step, lookup, beta, pairs), v in zip(gens, images):
                 j = lookup.get(v)
                 if j is None:
+                    continue
+                cas = e.cas + e.n_vec[j] + 1
+                if cas > ceiling:
                     continue
                 x = tuple(a + step * b for a, b in zip(e.x, v))
                 if x in new:
@@ -113,7 +140,7 @@ def enumerate_dominant(rs: RootSystem, max_length: int) -> tuple:
                 n_vec[j] += 1
                 w = tuple(tuple(a - b * c for a, c in zip(row, beta))
                           for row, b in zip(e.w, v))
-                new[x] = (_element_from_map(rs, w, x, tuple(n_vec)),
+                new[x] = (_element_from_map(rs, w, x, tuple(n_vec), length, cas),
                           tuple(tuple(a - p * b for a, b in zip(img, v))
                                 for img, p in zip(images, pairs)))
         frontier = sorted(new.values(), key=lambda pair: pair[0].n_vec)
@@ -135,7 +162,8 @@ def reflect_in_wall(rs: RootSystem, e: AffineElement, idx: int) -> AffineElement
     w = tuple(tuple(a - c * b for a, b in zip(row, pulled))
               for row, c in zip(e.w, coroot))
     n_vec = tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
-    return _element_from_map(rs, w, x, n_vec)
+    return _element_from_map(rs, w, x, n_vec, sum(n_vec),
+                             sum(n * (n + 1) // 2 for n in n_vec))
 
 
 def apply_element(rs: RootSystem, e: AffineElement, point) -> tuple:
@@ -191,6 +219,8 @@ def reduce_to_fundamental(rs: RootSystem, point):
     Every step removes at least one separating wall, so the loop ends.
     For a regular point the folding element is unique, which makes the
     parity well-defined; on a wall the parity is reported but meaningless.
+    `chi_at_type_rho` reads that parity without folding; this fold is the
+    reference route it is tested against.
     """
     l = rs.rank
     psi = rs.positive_roots[rs.highest_root]
@@ -217,18 +247,31 @@ def reduce_to_fundamental(rs: RootSystem, point):
 def chi_at_type_rho(rs: RootSystem, weight) -> int:
     """Character value of the irreducible with the given highest weight at
     a group element of type rho: +1 or -1 when the weight is an alcove
-    weight (the sign being the alcove-length parity), 0 otherwise.
+    weight (the sign being the alcove-length parity), 0 otherwise
+    (Kostant).
 
-    The point representing 2*(lambda + rho) folds back to the base point
-    exactly when lambda is an alcove weight.
+    Read off the values v_phi = phi(X) of the point X = sym_i (lambda_i + 1)
+    of 2 (lambda + rho), one per positive root (`_rho_values`).  If some
+    v_phi is a multiple of `scale`, X lies on an affine wall and the value
+    is 0.  Otherwise X is regular and dominant, the walls separating it
+    from the fundamental alcove are counted by sum_phi v_phi // scale
+    (the n_phi of the walk), and X folds to a point sym_i m_i, m integral,
+    inside the open fundamental alcove.  That point is the base point
+    `sym` (m = 1) in every type: for the coefficients c of psi,
+    sym_i c_i >= max(sym) and psi(sym) = scale - max(sym), so m_i >= 2
+    anywhere puts psi at scale or above.  The value is then (-1) to that
+    count.  `reduce_to_fundamental` is the fold itself, wall by wall.
     """
     if not rs.is_dominant_integral(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
-    p = tuple(s * (int(m) + 1) for s, m in zip(rs.sym, weight))
-    folded, parity, regular = reduce_to_fundamental(rs, p)
-    if regular and folded == rs.sym:
-        return parity
-    return 0
+    scale = rs.scale
+    walls = 0
+    for v in _rho_values(rs, weight):
+        n, rem = divmod(v, scale)
+        if not rem:
+            return 0
+        walls += n
+    return -1 if walls & 1 else 1
 
 
 def ideal_chain(rs: RootSystem, e: AffineElement) -> tuple:

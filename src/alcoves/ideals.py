@@ -317,7 +317,7 @@ def verify_root_partition_bound(
     candidate is checked at once.  `partitions` counts the candidates and
     `visited` the nodes expanded.
     """
-    from .alcove import enumerate_dominant
+    from .alcove import enumerate_casimir_bounded
 
     P, R, unit = _pairing_tables(rs)
     m = rs.num_positive
@@ -353,8 +353,7 @@ def verify_root_partition_bound(
         q[pos] = 0
 
     dfs(0, cas_ceiling, 0, [0] * m)
-    expected = {e.n_vec for e in enumerate_dominant(rs, cas_ceiling)
-                if e.cas <= cas_ceiling}
+    expected = {e.n_vec for e in enumerate_casimir_bounded(rs, cas_ceiling)}
     return {
         "partitions": count,
         "visited": visited,

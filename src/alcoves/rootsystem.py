@@ -24,7 +24,7 @@ a type imports neither `fractions` nor `linalg`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from numbers import Rational  # annotation only; `fractions` loads on use
 
 FAMILIES = "ABCDEFG"
@@ -447,16 +447,51 @@ def weyl_orbit_size(rs: RootSystem, weight) -> int:
         _parabolic_order(rs, zeros)
 
 
+@lru_cache(maxsize=None)
+def _root_poset(rs: RootSystem) -> tuple:
+    """(simple, steps, denominator), one table per root system.
+
+    The first `rank` positive roots in the stored order are the simple
+    ones, and `simple[k]` is the index i with positive_roots[k] = alpha_i.
+    Each later root alpha, in the stored order, has a step (j, i) with
+    alpha = positive_roots[j] + alpha_i and j < its own index (roots are
+    stored by height).  `denominator` is the Weyl denominator
+    prod_{alpha > 0} (rho, alpha), in the units of `pair`."""
+    roots = rs.positive_roots
+    simple = tuple(c.index(1) for c in roots[:rs.rank])
+    steps = []
+    for c in roots[rs.rank:]:
+        for i, ci in enumerate(c):
+            parent = c[:i] + (ci - 1,) + c[i + 1:]
+            if ci and parent in rs._index:
+                steps.append((rs._index[parent], i))
+                break
+    denominator = prod(sum(s * ci for s, ci in zip(rs.sym, c)) for c in roots)
+    return simple, tuple(steps), denominator
+
+
+def _rho_values(rs: RootSystem, weight) -> list:
+    """v_alpha = sum_i c_i sym_i (lambda_i + 1) for every positive root
+    alpha = sum c_i alpha_i, in the stored order: (lambda + rho, alpha)
+    in the units of `pair`, and also alpha evaluated at the point of
+    2 (lambda + rho), sym_i (lambda_i + 1) in `alcove`'s units.  One
+    addition per root, down the steps of `_root_poset`."""
+    simple, steps, _ = _root_poset(rs)
+    base = [s * (int(w) + 1) for s, w in zip(rs.sym, weight)]
+    values = [base[i] for i in simple]
+    for j, i in steps:
+        values.append(values[j] + base[i])
+    return values
+
+
 def weyl_dimension(rs: RootSystem, weight) -> int:
-    """dim V_lambda by the Weyl product over positive roots, exactly."""
+    """dim V_lambda = prod_{alpha > 0} (lambda + rho, alpha) / (rho, alpha),
+    exactly.  The numerator is the product of `_rho_values`, one addition
+    per positive root; the denominator is the same product at lambda = 0,
+    built once per root system by `_root_poset`."""
     if not rs.is_dominant_integral(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
-    lam_rho = [(int(w) + 1) * s for w, s in zip(weight, rs.sym)]
-    num = den = 1
-    for c in rs.positive_roots:
-        num *= sum(a * ci for a, ci in zip(lam_rho, c))
-        den *= sum(s * ci for s, ci in zip(rs.sym, c))
-    dim, rem = divmod(num, den)
+    dim, rem = divmod(prod(_rho_values(rs, weight)), _root_poset(rs)[2])
     if rem or dim <= 0:
         raise AssertionError("Weyl dimension product is not a positive integer")
     return dim

@@ -46,20 +46,16 @@ def euler_power(e: int, order: int) -> list:
 
 def alcove_coefficient_series(rs, order: int) -> list:
     """The same coefficients, as a signed sum of Weyl dimensions over
-    dominant alcoves with Casimir eigenvalue at most `order`.
-
-    Enumerating lengths up to `order` suffices because the Casimir
-    eigenvalue of an alcove weight never drops below the alcove length.
-    """
-    from .alcove import enumerate_dominant
+    dominant alcoves with Casimir eigenvalue at most `order`, from the
+    walk that stops at that Casimir bound."""
+    from .alcove import enumerate_casimir_bounded
     from .rootsystem import weyl_dimension
 
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     out = [0] * (order + 1)
-    for e in enumerate_dominant(rs, order):
-        if e.cas <= order:
-            out[e.cas] += (-1) ** e.length * weyl_dimension(rs, e.lam)
+    for e in enumerate_casimir_bounded(rs, order):
+        out[e.cas] += (-1) ** e.length * weyl_dimension(rs, e.lam)
     return out
 
 

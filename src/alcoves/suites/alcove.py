@@ -110,7 +110,8 @@ def suite_sign(rep: Report, rs: RootSystem, max_length: int = 8,
                cas_ceiling: int | None = None) -> Report:
     """Character values at an element of type rho: length parity on alcove
     weights, zero on every other dominant weight below the ceiling."""
-    from ..alcove import chi_at_type_rho, enumerate_dominant
+    from ..alcove import (chi_at_type_rho, enumerate_casimir_bounded,
+                          enumerate_dominant)
     from ..rootsystem import _dominant_weights_with_cas_bound
 
     elements = enumerate_dominant(rs, max_length)
@@ -119,8 +120,8 @@ def suite_sign(rep: Report, rs: RootSystem, max_length: int = 8,
     rep.add("sign-is-length-parity", not bad,
             {"alcoves": len(elements), "failures": len(bad)})
     if cas_ceiling is not None:
-        alcove_weights = {e.lam for e in enumerate_dominant(rs, cas_ceiling)
-                          if e.cas <= cas_ceiling}
+        alcove_weights = {e.lam for e in
+                          enumerate_casimir_bounded(rs, cas_ceiling)}
         others = [w for w in _dominant_weights_with_cas_bound(rs, cas_ceiling)
                   if w not in alcove_weights]
         nonzero = [w for w in others if chi_at_type_rho(rs, w) != 0]

@@ -1,13 +1,15 @@
 """Dominant alcove enumeration, folding, signs, and wall-count chains."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
 import pytest
 
 from alcoves.alcove import (apply_element, chi_at_type_rho, counts_by_length,
-                            enumerate_dominant, enumerate_wf2,
+                            enumerate_casimir_bounded, enumerate_dominant,
+                            enumerate_wf2,
                             finite_part_length, ideal_chain, in_wf2,
                             reduce_to_fundamental, reflect_in_wall,
                             two_rho_pairing_killing)
@@ -257,6 +259,28 @@ def test_integer_routes_create_no_fraction(count_fractions):
         assert not created, (label, created[:3])
 
 
+@pytest.mark.parametrize("label,ceiling", [
+    ("A1", 40), ("A2", 24), ("A3", 20), ("A4", 16), ("B2", 24), ("G2", 24),
+    ("E8", 30)])
+def test_casimir_bounded_walk_keeps_the_alcoves_under_the_ceiling(label, ceiling):
+    """The walk that drops alcoves over the Casimir ceiling returns the
+    length walk's alcoves with cas at most the ceiling, in its order."""
+    rs = parse_type(label)
+    expected = tuple(e for e in enumerate_dominant(rs, ceiling)
+                     if e.cas <= ceiling)
+    assert enumerate_casimir_bounded.__wrapped__(rs, ceiling) == expected
+
+
+def test_casimir_bounded_walk_on_a4_at_100():
+    """A4 to cas 100: 3672 alcoves, where the length walk to 100 builds
+    214776."""
+    walk = enumerate_casimir_bounded.__wrapped__(parse_type("A4"), 100)
+    assert len(walk) == 3672
+    assert max(e.cas for e in walk) == 100
+    with pytest.raises(ValueError):
+        enumerate_casimir_bounded(parse_type("A4"), -1)
+
+
 def test_wf2_membership():
     rs = parse_type("A1")
     by_len = {e.length: e for e in enumerate_dominant(rs, 3)}
@@ -297,6 +321,42 @@ def test_character_sign_on_alcove_weights(label):
     rs = parse_type(label)
     for e in enumerate_dominant(rs, 8):
         assert chi_at_type_rho(rs, e.lam) == (-1) ** e.length
+
+
+ROUTE_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4",
+               "B5", "C2", "C3", "C4", "C5", "D4", "D5", "D6", "E6", "E7",
+               "E8", "F4", "G2"]
+
+
+def fold_chi(rs, weight):
+    """The character at type rho by folding 2 (lambda + rho) into the
+    fundamental alcove wall by wall: the parity of the fold when the
+    point lands on the base point, 0 otherwise."""
+    p = tuple(s * (int(m) + 1) for s, m in zip(rs.sym, weight))
+    folded, parity, regular = reduce_to_fundamental(rs, p)
+    if regular and folded == rs.sym:
+        return parity
+    return 0
+
+
+@pytest.mark.parametrize("label", ROUTE_TYPES)
+def test_character_matches_the_fold(label):
+    """chi from the values (lambda + rho, phi) equals the fold on every
+    weight of a small box, on random weights with coordinates up to 12,
+    and on every alcove weight to length 10 (6 at rank >= 6), where both
+    are the length parity."""
+    rs = parse_type(label)
+    rng = random.Random(label)
+    box = range(3 if rs.rank <= 4 else 2)
+    weights = list(product(box, repeat=rs.rank))
+    weights += [tuple(rng.randint(0, 12) for _ in range(rs.rank))
+                for _ in range(200)]
+    values = [chi_at_type_rho(rs, w) for w in weights]
+    assert values == [fold_chi(rs, w) for w in weights]
+    assert 0 in values and {1, -1} & set(values)
+    for e in enumerate_dominant(rs, 10 if rs.rank < 6 else 6):
+        assert chi_at_type_rho(rs, e.lam) == fold_chi(rs, e.lam) == \
+            (-1) ** e.length
 
 
 def test_character_examples():

@@ -1,6 +1,7 @@
 """Root-system construction and the integer inner product."""
 
 import pickle
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -9,6 +10,7 @@ from operator import mul
 import pytest
 
 from alcoves.rootsystem import (_build_root_system, _coroot_coords,
+                                _root_poset,
                                 _dominant_weights_with_cas_bound, _valid_type,
                                 build_root_system, casimir_eigenvalue,
                                 heisenberg_count, parse_type, weyl_dimension)
@@ -265,3 +267,39 @@ def test_building_a_root_system_creates_no_fraction(count_fractions):
         cached = parse_type(rs.label)
         assert (rs.sym, rs.inverse, rs.scale, rs.h_dual) == \
             (cached.sym, cached.inverse, cached.scale, cached.h_dual)
+
+
+@pytest.mark.parametrize("label", EVERY_TYPE_TO_RANK8)
+def test_rho_is_the_only_lattice_point_inside_the_alcove(label):
+    """For the coefficients c of psi, sym_i c_i >= max(sym), and psi(sym)
+    = scale - max(sym).  So a point sym_i m_i with every m_i >= 1 and
+    some m_i >= 2 has psi >= scale: the base point sym (rho) is the only
+    one inside the open fundamental alcove, which `chi_at_type_rho`
+    rests on."""
+    rs = parse_type(label)
+    psi = rs.positive_roots[rs.highest_root]
+    top = max(rs.sym)
+    assert all(s * c >= top for s, c in zip(rs.sym, psi))
+    assert sum(map(mul, psi, rs.sym)) == rs.scale - top
+
+
+def direct_weyl_dimension(rs, weight):
+    """prod (lambda + rho, alpha) / prod (rho, alpha), every pairing
+    summed from the root's coordinates."""
+    num = den = 1
+    for c in rs.positive_roots:
+        num *= sum(s * (w + 1) * ci for s, w, ci in zip(rs.sym, weight, c))
+        den *= sum(s * ci for s, ci in zip(rs.sym, c))
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("label", EVERY_TYPE_TO_RANK8)
+def test_weyl_dimension_matches_the_direct_product(label):
+    rs = parse_type(label)
+    simple, steps, _ = _root_poset(rs)
+    assert len(simple) + len(steps) == rs.num_positive
+    rng = random.Random(label)
+    for _ in range(40):
+        weight = tuple(rng.randint(0, 9) for _ in range(rs.rank))
+        assert weyl_dimension(rs, weight) == direct_weyl_dimension(rs, weight)
