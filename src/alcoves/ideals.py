@@ -2,9 +2,12 @@
 
 An abelian ideal is an upper set of the positive-root poset (closed under
 adding any simple root that yields a root) in which no two members sum to
-a root.  Enumeration is a depth-first search over roots in decreasing
-height with closure and commutativity pruning; the power-of-two count is
-asserted by callers, never assumed by the generator.
+a root.  Both conditions read one table, `rootsystem._root_sums`: the
+index of each sum of two positive roots, or None, whose first `rank`
+columns are the covers of a root.  Enumeration is a depth-first search
+over roots in decreasing height with closure and commutativity pruning;
+the power-of-two count is asserted by callers, never assumed by the
+generator.
 
 The two bound sweeps are depth-first searches over exact integer tables
 (`_pairing_tables`, with P symmetric) that extend prefix sums instead of
@@ -34,7 +37,7 @@ from math import comb
 import alcoves
 
 from .limits import Limits
-from .rootsystem import RootSystem, weyl_dimension
+from .rootsystem import RootSystem, _root_sums, weyl_dimension
 
 
 class AbelianIdeal(namedtuple("AbelianIdeal", "roots lam")):
@@ -55,40 +58,14 @@ def _root_sum_weight(rs: RootSystem, indices) -> tuple:
     return tuple(rs.root_coords_to_weight(coords))
 
 
-@lru_cache(maxsize=None)
-def _poset_tables(rs: RootSystem):
-    """Cover relations (adding one simple root) and root-sum table."""
-    index = {c: i for i, c in enumerate(rs.positive_roots)}
-    covers = []
-    for c in rs.positive_roots:
-        ups = []
-        for i in range(rs.rank):
-            up = list(c)
-            up[i] += 1
-            j = index.get(tuple(up))
-            if j is not None:
-                ups.append(j)
-        covers.append(tuple(ups))
-    m = rs.num_positive
-    sum_is_root = [[False] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            s = tuple(x + y for x, y in
-                      zip(rs.positive_roots[a], rs.positive_roots[b]))
-            sum_is_root[a][b] = s in index
-    return covers, sum_is_root
-
-
 def is_ideal(rs: RootSystem, indices) -> bool:
-    covers, _ = _poset_tables(rs)
-    s = set(indices)
-    return all(up in s for idx in s for up in covers[idx])
+    sums, s = _root_sums(rs), set(indices)
+    return all(up is None or up in s for idx in s for up in sums[idx][:rs.rank])
 
 
 def is_abelian(rs: RootSystem, indices) -> bool:
-    _, sum_is_root = _poset_tables(rs)
-    idxs = list(indices)
-    return not any(sum_is_root[a][b] for a, b in combinations(idxs, 2))
+    sums = _root_sums(rs)
+    return all(sums[a][b] is None for a, b in combinations(indices, 2))
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +77,7 @@ def enumerate_abelian_ideals(rs: RootSystem) -> tuple:
     is allowed only when every cover is already in and no commutativity
     conflict arises with the members so far.
     """
-    covers, sum_is_root = _poset_tables(rs)
+    sums, rank = _root_sums(rs), rs.rank
     order = sorted(range(rs.num_positive),
                    key=lambda i: (-rs.root_height(i), rs.positive_roots[i]))
     found = []
@@ -113,8 +90,9 @@ def enumerate_abelian_ideals(rs: RootSystem) -> tuple:
             return
         dfs(t + 1)
         idx = order[t]
-        if all(up in chosen_set for up in covers[idx]) and \
-                not any(sum_is_root[idx][b] for b in chosen):
+        row = sums[idx]
+        if all(up is None or up in chosen_set for up in row[:rank]) and \
+                all(row[b] is None for b in chosen):
             chosen.append(idx)
             chosen_set.add(idx)
             dfs(t + 1)

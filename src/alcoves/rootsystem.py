@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, prod
 from numbers import Rational  # annotation only; `fractions` loads on use
+from operator import sub
 
 FAMILIES = "ABCDEFG"
 
@@ -142,10 +143,6 @@ class RootSystem(FrozenRecord):
 
     def root_index(self, coords) -> int:
         return self._index[tuple(coords)]
-
-    def is_root(self, coords) -> bool:
-        c = tuple(coords)
-        return c in self._index or tuple(-x for x in c) in self._index
 
     def root_height(self, idx: int) -> int:
         return sum(self.positive_roots[idx])
@@ -468,6 +465,23 @@ def _root_poset(rs: RootSystem) -> tuple:
                 break
     denominator = prod(sum(s * ci for s, ci in zip(rs.sym, c)) for c in roots)
     return simple, tuple(steps), denominator
+
+
+@lru_cache(maxsize=None)
+def _root_sums(rs: RootSystem) -> tuple:
+    """sums[a][b]: the index of positive_roots[a] + positive_roots[b], or
+    None when that sum is not a root.  Roots are stored by height, so
+    both summands of a root gamma come before it; the simple roots come
+    first, so the first `rank` entries of a row are its covers in the
+    root poset, or None."""
+    roots = rs.positive_roots
+    sums = [[None] * len(roots) for _ in roots]
+    for g, gamma in enumerate(roots):
+        for a in range(g):
+            b = rs._index.get(tuple(map(sub, gamma, roots[a])))
+            if b is not None:
+                sums[a][b] = g
+    return tuple(map(tuple, sums))
 
 
 def _rho_values(rs: RootSystem, weight) -> list:

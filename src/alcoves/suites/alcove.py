@@ -38,7 +38,9 @@ def suite_ideal_chains(rep: Report, rs: RootSystem, max_length: int = 6) -> Repo
     sums reconstruct the alcove weight, topped by an abelian ideal."""
     from ..alcove import enumerate_dominant, ideal_chain
     from ..ideals import _root_sum_weight, is_abelian, is_ideal
+    from ..rootsystem import _root_sums
 
+    sums = _root_sums(rs)
     elements = enumerate_dominant(rs, max_length)
     bad_ideal = bad_sum = bad_add = bad_top = 0
     for e in elements:
@@ -52,13 +54,10 @@ def suite_ideal_chains(rep: Report, rs: RootSystem, max_length: int = 6) -> Repo
             for j in range(len(chain)):
                 for a in chain[i]:
                     for b in chain[j]:
-                        s = tuple(x + y for x, y in zip(
-                            rs.positive_roots[a], rs.positive_roots[b]))
-                        if rs.is_root(s):
-                            # A sum of positive roots is positive.
-                            target = i + j
-                            if target <= top and rs.root_index(s) not in chain[target]:
-                                bad_add += 1
+                        s = sums[a][b]
+                        if s is not None and i + j <= top and \
+                                s not in chain[i + j]:
+                            bad_add += 1
         # The top level is abelian as soon as there is a nonzero level:
         # Delta_L + Delta_L lands in the empty Delta_2L only when L >= 1.
         if len(chain) > 1 and not is_abelian(rs, chain[-1]):

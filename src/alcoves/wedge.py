@@ -22,9 +22,11 @@ the ideal generated by the image of the degree-one coboundary, whose
 dimension is the rank of the boundary of u- = g (x) t^-1 C[t^-1] on
 Lambda^k(g t^-1).  The Killing form pairs only opposite weights, so it
 is traced on each root vector with its negative and on the coroot block,
-and only that block is inverted.  The dual basis is scaled by the common
-denominator D of its coefficients, so the Casimir action, which checks
-the table and the ideal wedges, is D times its value in integers.
+and only that block is inverted.  Of the dual basis, scaled by its
+common denominator D, the table keeps what the Casimir reads: D /
+K(e_alpha, e_-alpha) per positive root and D times the inverse coroot
+block.  The Casimir action, which checks every stored entry of the table
+and the ideal wedges, is then D times its value in integers.
 Weight multiplicities of a g-module are W-invariant, so only the blocks
 of dominant weight are built, and times the sizes |W| / |W_J| of their
 weights' orbits they must fill the wedge power.  `_dominant_blocks` is
@@ -50,13 +52,13 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, lcm
 from numbers import Rational
-from operator import add, sub
+from operator import add
 
 from .limits import Limits
 from .linalg import exact_rank, nullity
 from .rootsystem import (FrozenRecord, RootSystem, _cleared_inverse,
-                         _coroot_coords, _string_start, casimir_eigenvalue,
-                         weyl_dimension, weyl_orbit_size)
+                         _coroot_coords, _root_sums, _string_start,
+                         casimir_eigenvalue, weyl_dimension, weyl_orbit_size)
 
 
 class LieAlgebraTable(FrozenRecord):
@@ -68,22 +70,24 @@ class LieAlgebraTable(FrozenRecord):
         "rs", "dim",
         "brackets",      # brackets[a][b] = ((idx, coeff), ...)
         "weights",       # Cartan weight of each basis vector (fund coords)
-        "dual",          # D times the Killing dual of x_j: ((idx, coeff), ...)
+        "root_dual",     # D / K(e_alpha, e_-alpha), one per positive root
+        "coroot_dual",   # D times the inverse Killing form on the coroots
         "killing_den",   # D, the common denominator of the dual basis
     )
 
     def __reduce__(self):  # unpickling returns the one table of the type
         return _chevalley_table, (self.rs,)
 
-    def root_vector(self, root_idx: int, negative: bool = False) -> int:
-        return root_idx + (self.rs.num_positive if negative else 0)
+    def root_vector(self, root_idx: int) -> int:
+        return root_idx
 
 
 def _structure_constants(rs: RootSystem):
     """{(a, b): (c, N)} with [e_a, e_b] = N e_c, for every ordered pair of
     root-vector indices whose roots sum to a root, in integers.
 
-    Walks the positive roots gamma in height order: the extraspecial pair
+    Walks the positive roots gamma in height order, with the pairs
+    a + b = gamma read off `_root_sums`: the extraspecial pair
     of gamma (smallest first summand) gets p + 1, and every other pair
     a + b = gamma follows from the quadruple a1 + b1 - a - b = 0, summed
     as N N (L // norm) with L the lcm of the root norms and divided once.
@@ -118,12 +122,12 @@ def _structure_constants(rs: RootSystem):
             consts[neg(p), neg(q)] = (r, -v)
             consts[neg(q), neg(p)] = (r, v)
 
-    for g, gamma in enumerate(pos):
-        pairs = []
-        for a in range(g):
-            b = index.get(tuple(map(sub, gamma, pos[a])), m)
-            if a <= b < m:
-                pairs.append((a, b))
+    decompositions = [[] for _ in pos]  # (a, b) with a <= b, by a
+    for a, row in enumerate(_root_sums(rs)):
+        for b in range(a, m):
+            if row[b] is not None:
+                decompositions[row[b]].append((a, b))
+    for g, pairs in enumerate(decompositions):
         if not pairs:  # a simple root
             continue
         (a1, b1), *rest = pairs
@@ -149,9 +153,12 @@ def build_chevalley(rs: RootSystem,
     """Structure constants and the Killing-dual basis, all verified; the
     table is built once per root system, whatever the ceiling.
 
-    Build-time checks: antisymmetry and the Jacobi identity over all basis
-    triples, nondegeneracy of the Killing form, and the Casimir acting as
-    the identity in the adjoint representation.
+    Build-time checks: the Jacobi identity over all basis triples,
+    nondegeneracy of the Killing form, and the Casimir acting as the
+    identity in the adjoint representation, which reads every entry of
+    the dual.  Antisymmetry holds by construction, as each bracket is
+    written with its negative; a reverse entry of the wrong sign fails
+    the Jacobi or the Casimir check.
     """
     if rs.dim_g > dim_ceiling:
         raise ValueError(
@@ -181,20 +188,22 @@ def _chevalley_table(rs: RootSystem) -> LieAlgebraTable:
             if x:
                 brackets[2 * m + i][a] = ((a, x),)
                 brackets[a][2 * m + i] = ((a, -x),)
-    dual, den = _killing_dual(brackets, m, l)
+    root_dual, coroot_dual, den = _killing_dual(brackets, m, l)
     table = LieAlgebraTable(
         rs=rs, dim=dim,
-        brackets=tuple(tuple(row) for row in brackets),
-        weights=weights, dual=dual, killing_den=den)
+        brackets=tuple(tuple(row) for row in brackets), weights=weights,
+        root_dual=root_dual, coroot_dual=coroot_dual, killing_den=den)
     _verify_jacobi(table)
     _verify_casimir_identity(table)
     return table
 
 
 def _killing_dual(brackets, m: int, l: int):
-    """D times the Killing-dual basis as sparse integer rows, and D.  The
-    dual of e_alpha is e_-alpha / K(e_alpha, e_-alpha) and the other way
-    round; the coroot duals come from the inverse of the coroot block."""
+    """(D / K_alpha for each positive root alpha, D times the inverse of
+    the Killing form on the coroot block as l dense rows, D), with
+    K_alpha = K(e_alpha, e_-alpha) and D the least common denominator.
+    The dual of e_alpha is e_-alpha / K_alpha and the other way round,
+    so these hold the whole dual basis, scaled by D."""
     dim = len(brackets)
 
     def trace(a, b):  # K(x_a, x_b) = tr(ad x_a ad x_b)
@@ -212,10 +221,8 @@ def _killing_dual(brackets, m: int, l: int):
         raise AssertionError("Killing form is degenerate") from None
     den = lcm(*pairs, block_den)
     scale = den // block_den
-    return tuple([((a + m, den // p),) for a, p in enumerate(pairs)] +
-                 [((a, den // p),) for a, p in enumerate(pairs)] +
-                 [tuple((h + j, x * scale) for j, x in enumerate(row) if x)
-                  for row in adj]), den
+    return (tuple(den // p for p in pairs),
+            tuple(tuple(x * scale for x in row) for row in adj), den)
 
 
 def _verify_jacobi(table: LieAlgebraTable) -> None:
@@ -320,17 +327,15 @@ def _apply_casimir(table: LieAlgebraTable, subset):
 
     with K_alpha = K(e_alpha, e_-alpha), since e_alpha e_-alpha is
     e_-alpha e_alpha + h_alpha for h_alpha = [e_alpha, e_-alpha].  D times
-    the scalar is sum_ij (D K^-1)_ij mu_i mu_j, read off the coroot rows
-    of the dual, plus sum_alpha (D / K_alpha) mu(h_alpha), D / K_alpha
-    being the one coefficient of the dual of e_alpha."""
+    the scalar is sum_ij (D K^-1)_ij mu_i mu_j, read off `coroot_dual`,
+    plus sum_alpha (D / K_alpha) mu(h_alpha), read off `root_dual`."""
     rank, m = table.rs.rank, table.rs.num_positive
     h = 2 * m
     mu = [sum(table.weights[a][i] for a in subset) for i in range(rank)]
-    scalar = sum(c * mu[i] * mu[j - h]
-                 for i in range(rank) for j, c in table.dual[h + i])
+    scalar = sum(c * x * y for x, row in zip(mu, table.coroot_dual)
+                 for c, y in zip(row, mu))
     out = {}
-    for a in range(m):
-        (_, d), = table.dual[a]
+    for a, d in enumerate(table.root_dual):
         scalar += d * sum(c * mu[i - h] for i, c in table.brackets[a][a + m])
         for key, v in _theta_single(table, a, subset).items():
             for key2, w in _theta_single(table, a + m, key).items():
@@ -396,11 +401,9 @@ def _highest_weight_multiplicity(table: LieAlgebraTable, block) -> int:
     one block vector's images under all of them: the transpose of the
     stacked operator matrices, so it has the same rank.  The images under
     different operators lie in different weight blocks, so their subsets
-    never share a column."""
-    rs = table.rs
-    units = (tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank))
-    gens = [table.root_vector(rs.root_index(unit)) for unit in units]
-    rows = [{key: v for gen in gens
+    never share a column.  The simple roots are stored first, so their
+    root vectors are the basis indices below the rank."""
+    rows = [{key: v for gen in range(table.rs.rank)
              for key, v in _theta_single(table, gen, s).items()}
             for s in block]
     return nullity(rows, len(block))

@@ -654,10 +654,9 @@ def test_casimir_off_the_identity_exits_three(capsys, monkeypatch):
 
     real = wedge._killing_dual
 
-    def doubled(brackets, m, l):  # twice the dual of the first root vector
-        dual, den = real(brackets, m, l)
-        (i, c), = dual[0]
-        return (((i, 2 * c),), *dual[1:]), den
+    def doubled(brackets, m, l):  # twice D / K_alpha of the first root
+        root_dual, coroot_dual, den = real(brackets, m, l)
+        return (2 * root_dual[0], *root_dual[1:]), coroot_dual, den
 
     monkeypatch.setattr(wedge, "_killing_dual", doubled)
     monkeypatch.setattr(wedge, "_chevalley_table", wedge._chevalley_table.__wrapped__)

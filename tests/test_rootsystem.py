@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 import pytest
 
+from alcoves.alcove import chi_at_type_rho
 from alcoves.rootsystem import (_build_root_system, _coroot_coords,
-                                _root_poset,
+                                _root_poset, _root_sums,
                                 _dominant_weights_with_cas_bound, _valid_type,
                                 build_root_system, casimir_eigenvalue,
                                 heisenberg_count, parse_type, weyl_dimension)
@@ -303,3 +304,28 @@ def test_weyl_dimension_matches_the_direct_product(label):
     for _ in range(40):
         weight = tuple(rng.randint(0, 9) for _ in range(rs.rank))
         assert weyl_dimension(rs, weight) == direct_weyl_dimension(rs, weight)
+
+
+@pytest.mark.parametrize("label", EVERY_TYPE_TO_RANK8)
+def test_root_sums_hold_every_sum_of_two_positive_roots(label):
+    """sums[a][b] is the index of the coordinate sum of roots a and b, or
+    None where that sum is no root; the first `rank` roots are simple, so
+    those columns of a row are the root's covers."""
+    rs = parse_type(label)
+    roots = rs.positive_roots
+    assert _root_sums(rs) == tuple(
+        tuple(rs._index.get(tuple(map(add, x, y))) for y in roots)
+        for x in roots)
+    assert all(sum(c) == 1 for c in roots[:rs.rank])
+
+
+def test_weight_queries_do_not_build_the_root_sums():
+    """A root system and its weight queries never pay for the sum table,
+    which only the ideal layer reads."""
+    before = _root_sums.cache_info().currsize
+    rs = _build_root_system.__wrapped__("E", 8)
+    weight = (1, 0, 0, 0, 0, 0, 0, 2)
+    weyl_dimension(rs, weight)
+    chi_at_type_rho(rs, weight)
+    casimir_eigenvalue(rs, weight)
+    assert _root_sums.cache_info().currsize == before

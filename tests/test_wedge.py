@@ -22,7 +22,8 @@ from alcoves.suites import run_suite
 from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _chevalley_table,
                            _dominant_blocks, _dominant_subsets,
                            _highest_weight_multiplicity, _killing_dual,
-                           _structure_constants, _theta_single, _verify_jacobi,
+                           _structure_constants, _theta_single,
+                           _verify_casimir_identity, _verify_jacobi,
                            _wedge_replace1, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
                            max_casimir_eigenvalue, verify_ideal_top_vectors)
@@ -162,9 +163,20 @@ def test_build_verifies_itself(label):
 
 
 def _table_copy(table, brackets):
-    return LieAlgebraTable(
-        rs=table.rs, dim=table.dim, brackets=tuple(map(tuple, brackets)),
-        weights=table.weights, dual=table.dual, killing_den=table.killing_den)
+    fields = {name: getattr(table, name) for name in LieAlgebraTable.__slots__}
+    return LieAlgebraTable(**dict(fields, brackets=tuple(map(tuple, brackets))))
+
+
+def dual_rows(table):
+    """D times the Killing dual of each basis vector x_j, as sparse rows
+    ((index, coefficient), ...): the dual of e_alpha is (D / K_alpha)
+    e_-alpha and the other way round, and the coroot rows carry their
+    basis offsets 2m + j: the layout that the recorded digests hash."""
+    m = table.rs.num_positive
+    return tuple([((a + m, d),) for a, d in enumerate(table.root_dual)] +
+                 [((a, d),) for a, d in enumerate(table.root_dual)] +
+                 [tuple((2 * m + j, x) for j, x in enumerate(row) if x)
+                  for row in table.coroot_dual])
 
 
 @pytest.mark.parametrize("label", ["G2", "B2"])
@@ -212,10 +224,11 @@ GOLDEN_TABLES = json.loads(
 @pytest.mark.parametrize("label", sorted(GOLDEN_TABLES))
 def test_table_matches_its_recorded_digest(label):
     """The sha256 of repr((brackets, dual, killing_den, weights)) of a
-    fresh build is the recorded one: a change of sign convention or basis
-    order shows here and has to update the file on purpose."""
+    fresh build is the recorded one, with `dual` the sparse rows that
+    `dual_rows` rebuilds: a change of sign convention or basis order shows
+    here and has to update the file on purpose."""
     table = _chevalley_table.__wrapped__(parse_type(label))
-    digest = hashlib.sha256(repr((table.brackets, table.dual,
+    digest = hashlib.sha256(repr((table.brackets, dual_rows(table),
                                   table.killing_den, table.weights)).encode())
     assert digest.hexdigest() == GOLDEN_TABLES[label]
 
@@ -233,17 +246,61 @@ def test_structure_constants_make_no_fraction(count_fractions):
                                           for r in rs.positive_roots)
         sums = {(a, b): tuple(map(add, x, y)) for a, x in enumerate(roots)
                 for b, y in enumerate(roots)}
-        assert set(consts) == {key for key, s in sums.items()
-                               if any(s) and rs.is_root(s)}
+        root_set = set(roots)
+        assert set(consts) == {key for key, s in sums.items() if s in root_set}
 
 
 def test_antisymmetry_of_brackets():
-    table = build_chevalley(parse_type("B2"))
-    for a in range(table.dim):
-        for b in range(table.dim):
-            forward = dict(table.brackets[a][b])
-            backward = dict(table.brackets[b][a])
-            assert forward == {i: -c for i, c in backward.items()}
+    for label in TABLE_TYPES + ["A3"]:
+        rs = parse_type(label)
+        table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+        for a in range(table.dim):
+            for b in range(table.dim):
+                forward = dict(table.brackets[a][b])
+                backward = dict(table.brackets[b][a])
+                assert forward == {i: -c for i, c in backward.items()}, label
+
+
+@pytest.mark.parametrize("label,entries", [("A2", 21), ("B2", 28), ("G2", 56),
+                                           ("A3", 60)])
+def test_build_checks_catch_a_broken_antisymmetry(label, entries):
+    """Antisymmetry holds by construction and is not checked on its own:
+    negating any one reverse entry [x_b, x_a], b > a, makes the Jacobi
+    sweep or the Casimir identity raise."""
+    rs = parse_type(label)
+    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    reverse = [(b, a) for a in range(table.dim) for b in range(a + 1, table.dim)
+               if table.brackets[b][a]]
+    assert len(reverse) == entries
+    for b, a in reverse:
+        brackets = [list(row) for row in table.brackets]
+        brackets[b][a] = tuple((i, -c) for i, c in brackets[b][a])
+        copy = _table_copy(table, brackets)
+        with pytest.raises(AssertionError):
+            _verify_jacobi(copy)
+            _verify_casimir_identity(copy)
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES + ["A3", "B3", "C3"])
+def test_build_reads_every_stored_dual_entry(monkeypatch, label):
+    """Raising any one entry of `root_dual` or `coroot_dual` makes the
+    build raise at the Casimir identity: every stored entry is checked."""
+    import alcoves.wedge as wedge
+
+    rs = parse_type(label)
+    real = wedge._killing_dual
+    m, l = rs.num_positive, rs.rank
+    for k in range(m + l * l):  # 86 entries over the eight types
+        def raised(brackets, m, l):  # entry k of the flattened dual, + 1
+            roots, coroots, den = real(brackets, m, l)
+            flat = [*roots, *(x for row in coroots for x in row)]
+            flat[k] += 1
+            return tuple(flat[:m]), tuple(
+                tuple(flat[m + i * l:m + i * l + l]) for i in range(l)), den
+
+        monkeypatch.setattr(wedge, "_killing_dual", raised)
+        with pytest.raises(AssertionError, match="Casimir does not act"):
+            _chevalley_table.__wrapped__(rs)
 
 
 def test_a1_table_by_hand():
@@ -273,7 +330,7 @@ def killing_inverse(table):
     """The inverse of the trace form over the rationals, read off the
     dual basis, which `test_dual_basis_inverts_the_trace_form` checks."""
     inv = [[Fraction(0)] * table.dim for _ in range(table.dim)]
-    for j, terms in enumerate(table.dual):
+    for j, terms in enumerate(dual_rows(table)):
         for k, c in terms:
             inv[j][k] = Fraction(c, table.killing_den)
     return inv
@@ -293,7 +350,7 @@ def test_dual_basis_inverts_the_trace_form(label):
     # The dual rows are den times the inverse, den the least common
     # denominator: dual . killing == den * I, and gcd(den, dual) == 1.
     den = table.killing_den
-    dual = [dict(terms) for terms in table.dual]
+    dual = [dict(terms) for terms in dual_rows(table)]
     assert all(type(c) is int for row in dual for c in row.values())
     assert [[sum(c * killing[k][b] for k, c in row.items())
              for b in range(table.dim)] for row in dual] == \
@@ -306,7 +363,7 @@ def casimir_by_definition(table, subset):
     the scaled dual rows: the definition, kept as the oracle of the
     weight formula in `_apply_casimir`."""
     out = {}
-    for j, terms in enumerate(table.dual):
+    for j, terms in enumerate(dual_rows(table)):
         for i, c in terms:
             for key, v in _theta_single(table, i, subset).items():
                 for key2, w in _theta_single(table, j, key).items():
