@@ -11,7 +11,7 @@ from importlib import import_module
 _EXPORTS = {
     **dict.fromkeys(("AffineElement", "chi_at_type_rho",
                      "enumerate_casimir_bounded", "enumerate_dominant",
-                     "ideal_chain", "in_wf2", "reduce_to_fundamental"), "alcove"),
+                     "ideal_chain", "in_wf2"), "alcove"),
     **dict.fromkeys(("AbelianIdeal", "dim_Ck", "enumerate_abelian_ideals",
                      "ideal_to_sigma", "sigma_to_ideal"), "ideals"),
     **dict.fromkeys(("RootSystem", "build_root_system", "casimir_eigenvalue",
@@ -22,8 +22,7 @@ _EXPORTS = {
     **dict.fromkeys(("count_null_cores", "m_core", "partition_to_weight",
                      "weight_to_partition"), "typea"),
     **dict.fromkeys(("LieAlgebraTable", "build_chevalley",
-                     "casimir_eigenspace_dim", "dg_ideal_dim",
-                     "max_casimir_eigenvalue"), "wedge"),
+                     "casimir_eigenspace_dim", "dg_ideal_dim"), "wedge"),
 }
 
 __all__ = sorted(_EXPORTS)

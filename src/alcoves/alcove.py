@@ -204,44 +204,11 @@ def in_wf2(rs: RootSystem, e: AffineElement) -> bool:
 
 
 def enumerate_wf2(rs: RootSystem, max_length: int) -> tuple:
-    """Dominant alcoves inside 2*A1 with length at most `max_length`."""
-    return tuple(e for e in enumerate_dominant(rs, max_length)
+    """Dominant alcoves inside 2*A1 with length at most `max_length`.
+    Their wall counts are 0 or 1, so cas equals the length, and the
+    Casimir-bounded walk to `max_length` holds them all."""
+    return tuple(e for e in enumerate_casimir_bounded(rs, max_length)
                  if in_wf2(rs, e))
-
-
-def reduce_to_fundamental(rs: RootSystem, point):
-    """Fold a point into the fundamental alcove by wall reflections.
-
-    The point is given in units of 1/scale, like `AffineElement.x`.
-    Returns (folded, parity, regular).  Each step reflects in a violated
-    constraint: a negative simple-root value, or a highest-root value
-    above `scale` (the affine reflection, with its coroot translation).
-    Every step removes at least one separating wall, so the loop ends.
-    For a regular point the folding element is unique, which makes the
-    parity well-defined; on a wall the parity is reported but meaningless.
-    `chi_at_type_rho` reads that parity without folding; this fold is the
-    reference route it is tested against.
-    """
-    l = rs.rank
-    psi = rs.positive_roots[rs.highest_root]
-    pv = _coroot(rs, psi)
-    p = tuple(point)
-    parity = 1
-    while True:
-        i = next((i for i in range(l) if p[i] < 0), None)
-        if i is not None:
-            pi = p[i]
-            p = tuple(p[j] - rs.cartan[i][j] * pi for j in range(l))
-            parity = -parity
-            continue
-        psival = evaluate_root(psi, p)
-        if psival > rs.scale:
-            p = tuple(p[j] - (psival - rs.scale) * pv[j] for j in range(l))
-            parity = -parity
-            continue
-        break
-    regular = all(v > 0 for v in p) and evaluate_root(psi, p) < rs.scale
-    return p, parity, regular
 
 
 def chi_at_type_rho(rs: RootSystem, weight) -> int:
@@ -260,7 +227,7 @@ def chi_at_type_rho(rs: RootSystem, weight) -> int:
     `sym` (m = 1) in every type: for the coefficients c of psi,
     sym_i c_i >= max(sym) and psi(sym) = scale - max(sym), so m_i >= 2
     anywhere puts psi at scale or above.  The value is then (-1) to that
-    count.  `reduce_to_fundamental` is the fold itself, wall by wall.
+    count.  The tests check it against the fold itself, wall by wall.
     """
     if not rs.is_dominant_integral(weight):
         raise ValueError(f"weight {weight} is not dominant integral")

@@ -141,9 +141,6 @@ class RootSystem(FrozenRecord):
     def num_positive(self) -> int:
         return len(self.positive_roots)
 
-    def root_index(self, coords) -> int:
-        return self._index[tuple(coords)]
-
     def root_height(self, idx: int) -> int:
         return sum(self.positive_roots[idx])
 

@@ -10,7 +10,7 @@ def suite_seven_numbers(rep: Report, rs: RootSystem, limits: Limits) -> Report:
     dual Coxeter number: the signed series coefficient, the abelian-ideal
     dimension sum, the Casimir eigenspace dimension, the coboundary-ideal
     complement, and the bigraded alcove sum."""
-    from ..alcove import enumerate_dominant
+    from ..alcove import enumerate_casimir_bounded
     from ..ideals import dim_Ck, enumerate_abelian_ideals
     from ..rootsystem import weyl_dimension
     from ..series import euler_power
@@ -19,7 +19,7 @@ def suite_seven_numbers(rep: Report, rs: RootSystem, limits: Limits) -> Report:
 
     table = build_chevalley(rs, dim_ceiling=limits.chevalley_dim)
     series = euler_power(rs.dim_g, rs.h_dual)
-    doms = enumerate_dominant(rs, rs.h_dual)
+    doms = enumerate_casimir_bounded(rs, rs.h_dual)
     for k in range(rs.h_dual + 1):
         legs = {
             "series": (-1) ** k * series[k],

@@ -51,7 +51,6 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, lcm
-from numbers import Rational
 from operator import add
 
 from .limits import Limits
@@ -77,9 +76,6 @@ class LieAlgebraTable(FrozenRecord):
 
     def __reduce__(self):  # unpickling returns the one table of the type
         return _chevalley_table, (self.rs,)
-
-    def root_vector(self, root_idx: int) -> int:
-        return root_idx
 
 
 def _structure_constants(rs: RootSystem):
@@ -362,26 +358,6 @@ def casimir_eigenspace_dim(table: LieAlgebraTable, k: int,
                if casimir_eigenvalue(rs, weight) == k)
 
 
-def max_casimir_eigenvalue(table: LieAlgebraTable, k: int,
-                           matrix_ceiling: int = Limits.wedge_matrix) -> Rational:
-    """Largest Casimir eigenvalue on the k-th wedge power.
-
-    Eigenvalues are Casimir scalars of the highest weights present; a
-    dominant weight is a highest weight exactly when the raising
-    operators have a joint kernel on its weight block.
-    """
-    if k > table.dim:
-        raise ValueError(
-            f"wedge degree {k} exceeds dim g = {table.dim}: "
-            "the wedge power is zero and has no highest weight")
-    highest = [weight for weight, (_, block)
-               in _dominant_blocks(table, k, matrix_ceiling).items()
-               if _highest_weight_multiplicity(table, block)]
-    if not highest:
-        raise AssertionError("no highest weight found in a nonzero module")
-    return max(casimir_eigenvalue(table.rs, weight) for weight in highest)
-
-
 def _theta_single(table: LieAlgebraTable, gen: int, subset):
     """Derivation action of one basis element on a wedge basis vector."""
     out = {}
@@ -444,11 +420,12 @@ def dg_ideal_dim(table: LieAlgebraTable, k: int,
 
 def verify_ideal_top_vectors(table: LieAlgebraTable, ideals) -> dict:
     """Each abelian ideal's decomposable wedge must be a Casimir
-    eigenvector with eigenvalue its size."""
+    eigenvector with eigenvalue its size.  Positive root vectors are
+    numbered as their roots, so the wedge's subset is the root set."""
     ideals = tuple(ideals)
     failures = []
     for xi in ideals:
-        subset = tuple(sorted(table.root_vector(i) for i in xi.roots))
+        subset = tuple(sorted(xi.roots))
         k = len(subset)
         if k == 0:
             continue

@@ -9,18 +9,19 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 from alcoves.alcove import (chi_at_type_rho, enumerate_dominant,
                             finite_part_length, in_wf2,
                             two_rho_pairing_killing)
-from alcoves.cli import main
+from alcoves.cli import _signature, main
 from alcoves.ideals import enumerate_abelian_ideals
-from alcoves.limits import Limits
-from alcoves.report import PASS
+from alcoves.limits import FIELDS, Limits
+from alcoves.report import FAIL, PASS, SKIP
 from alcoves.rootsystem import (casimir_eigenvalue, heisenberg_count,
                                 parse_type, weyl_dimension)
 from alcoves.series import RatPoly, euler_power, f_poly, f_poly_direct
-from alcoves.suites import run_suite
+from alcoves.suites import MODULES, load, run_suite
 from alcoves.typea import count_null_cores, null_core_count_expected, \
     verify_null_core_bijection
 from alcoves.wedge import _verify_jacobi, build_chevalley
@@ -231,3 +232,64 @@ def test_criterion_13_probe_at_24():
         zeros = next(c.witness["zeros"] for c in report.checks
                      if c.claim == "no-zero-at-24")
         assert zeros == [], f"zeros at {zeros} would be extraordinary"
+
+
+COVERAGE_MAP = Path(__file__).parent / "data" / "coverage.json"
+# The 31 types of rank at most 8, without the isomorphic repeats C2 and D3.
+COVERAGE_TYPES = ([f"A{n}" for n in range(1, 9)] +
+                  [f"B{n}" for n in range(2, 9)] +
+                  [f"C{n}" for n in range(3, 9)] +
+                  [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _ceilings(text: str) -> str:
+    """The `Limits` fields a refusal or skip names, or its text if none."""
+    return ",".join(f for f in FIELDS if f in text) or text
+
+
+def coverage_outcome(name: str, label: str | None) -> str:
+    """`pass`, `refused: <field>` or `skipped: <count> <field>` for one
+    command at its defaults and the default `Limits`."""
+    try:
+        report = run_suite(name, label, Limits())
+    except ValueError as exc:
+        return "refused: " + _ceilings(str(exc))
+    failed = [c.claim for c in report.checks if c.status == FAIL]
+    if failed:
+        return "failed: " + ", ".join(failed)
+    skipped = [c.detail for c in report.checks if c.status == SKIP]
+    if skipped:
+        return f"skipped: {len(skipped)} " + _ceilings(" ".join(skipped))
+    return PASS
+
+
+def coverage_map() -> dict:
+    """Command -> type label -> outcome, over every command: those that
+    take --type on each of `COVERAGE_TYPES`, the others once under the
+    label "", as their reports name them."""
+    return {name: {label or "": coverage_outcome(name, label)
+                   for label in (COVERAGE_TYPES
+                                 if "rs" in _signature(load(name))[0]
+                                 else [None])}
+            for name in sorted(MODULES)}
+
+
+def test_coverage_map_is_unchanged():
+    """A change that lifts a refusal or a skip, or adds one, shows up as an
+    edit of `tests/data/coverage.json`; rewrite it with
+    `PYTHONPATH=src python tests/test_acceptance.py`.  Measured at 42-55 s
+    on a shared 2-vCPU VM, 39-49 s of it `subset-bound`."""
+    with Budget("coverage map: every command on every type of rank <= 8 "
+                "at the default limits", 240):
+        expected = json.loads(COVERAGE_MAP.read_text(encoding="utf-8"))
+        found = coverage_map()
+        # (command, type, committed, found) for each entry that moved
+        moved = [(name, label, expected.get(name, {}).get(label), got)
+                 for name, row in found.items() for label, got in row.items()
+                 if expected.get(name, {}).get(label) != got]
+        assert found == expected, moved
+
+
+if __name__ == "__main__":
+    COVERAGE_MAP.write_text(json.dumps(coverage_map(), indent=2,
+                                       sort_keys=True) + "\n", encoding="utf-8")

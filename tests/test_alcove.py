@@ -7,14 +7,13 @@ from operator import mul
 
 import pytest
 
-from alcoves.alcove import (apply_element, chi_at_type_rho, counts_by_length,
-                            enumerate_casimir_bounded, enumerate_dominant,
-                            enumerate_wf2,
+from alcoves.alcove import (_coroot, apply_element, chi_at_type_rho,
+                            counts_by_length, enumerate_casimir_bounded,
+                            enumerate_dominant, enumerate_wf2, evaluate_root,
                             finite_part_length, ideal_chain, in_wf2,
-                            reduce_to_fundamental, reflect_in_wall,
-                            two_rho_pairing_killing)
+                            reflect_in_wall, two_rho_pairing_killing)
 from alcoves.ideals import (_alcove_by_ideal, _pairing_tables, is_abelian,
-                            is_ideal)
+                            is_ideal, max_abelian_dimension)
 from alcoves.rootsystem import casimir_eigenvalue, parse_type, weyl_dimension
 from alcoves.series import _scaled_fk_rows, bott_series, euler_power
 from alcoves.wedge import _apply_casimir, build_chevalley, dg_ideal_dim
@@ -289,6 +288,53 @@ def test_wf2_membership():
     for label, rank in [("A2", 2), ("B3", 3), ("G2", 2)]:
         rs = parse_type(label)
         assert len(enumerate_wf2(rs, 3 * rs.num_positive)) == 2 ** rank
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "C3", "G2",
+                                   "F4", "E6"])
+def test_wf2_walk_is_the_length_walk_inside_twice_the_alcove(label):
+    """`enumerate_wf2` reads the Casimir-bounded walk; at the largest
+    abelian-ideal size it must hold the length walk's alcoves inside
+    2*A1, in the same order, one per abelian ideal."""
+    rs = parse_type(label)
+    bound = max_abelian_dimension(rs)
+    expected = tuple(e for e in enumerate_dominant(rs, bound) if in_wf2(rs, e))
+    assert enumerate_wf2(rs, bound) == expected
+    assert len(expected) == 2 ** rs.rank
+
+
+def reduce_to_fundamental(rs, point):
+    """Fold a point into the fundamental alcove by wall reflections: the
+    reference route `chi_at_type_rho` is checked against.
+
+    The point is given in units of 1/scale, like `AffineElement.x`.
+    Returns (folded, parity, regular).  Each step reflects in a violated
+    constraint: a negative simple-root value, or a highest-root value
+    above `scale` (the affine reflection, with its coroot translation).
+    Every step removes at least one separating wall, so the loop ends.
+    For a regular point the folding element is unique, which makes the
+    parity well-defined; on a wall the parity is reported but meaningless.
+    """
+    l = rs.rank
+    psi = rs.positive_roots[rs.highest_root]
+    pv = _coroot(rs, psi)
+    p = tuple(point)
+    parity = 1
+    while True:
+        i = next((i for i in range(l) if p[i] < 0), None)
+        if i is not None:
+            pi = p[i]
+            p = tuple(p[j] - rs.cartan[i][j] * pi for j in range(l))
+            parity = -parity
+            continue
+        psival = evaluate_root(psi, p)
+        if psival > rs.scale:
+            p = tuple(p[j] - (psival - rs.scale) * pv[j] for j in range(l))
+            parity = -parity
+            continue
+        break
+    regular = all(v > 0 for v in p) and evaluate_root(psi, p) < rs.scale
+    return p, parity, regular
 
 
 def test_fold_of_base_point_is_trivial():

@@ -76,7 +76,7 @@ def test_a1_and_a2_ideals_explicit():
 
 def test_non_ideals_rejected_by_predicates():
     a2 = parse_type("A2")
-    simple = a2.root_index((1, 0))
+    simple = a2.positive_roots.index((1, 0))
     assert not is_ideal(a2, {simple})
     full = set(range(a2.num_positive))
     assert is_ideal(a2, full)
@@ -219,8 +219,8 @@ def test_root_partition_bound_a2_strict_case():
     res = verify_root_partition_bound(rs, 6)
     assert res["ok"]
     # Assembling the highest root from both simples is strictly worse.
-    i1 = rs.root_index((1, 0))
-    i2 = rs.root_index((0, 1))
+    i1 = rs.positive_roots.index((1, 0))
+    i2 = rs.positive_roots.index((0, 1))
     q = tuple(1 if i in (i1, i2) else 0 for i in range(rs.num_positive))
     assert q not in res["equality_sets"]
 

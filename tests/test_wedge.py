@@ -16,7 +16,8 @@ from alcoves.alcove import enumerate_dominant
 from alcoves.ideals import dim_Ck, enumerate_abelian_ideals, max_abelian_dimension
 from alcoves.limits import Limits
 from alcoves.linalg import exact_rank, nullity
-from alcoves.rootsystem import parse_type, weyl_dimension, weyl_orbit_size
+from alcoves.rootsystem import (casimir_eigenvalue, parse_type, weyl_dimension,
+                                weyl_orbit_size)
 from alcoves.series import euler_power
 from alcoves.suites import run_suite
 from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _chevalley_table,
@@ -26,7 +27,7 @@ from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _chevalley_table,
                            _verify_casimir_identity, _verify_jacobi,
                            _wedge_replace1, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
-                           max_casimir_eigenvalue, verify_ideal_top_vectors)
+                           verify_ideal_top_vectors)
 
 TABLE_TYPES = ["A1", "A2", "B2", "C2", "G2"]
 
@@ -465,6 +466,27 @@ def test_direct_sum_decomposition(label):
             comb(rs.dim_g, k)
 
 
+def max_casimir_eigenvalue(table, k):
+    """Largest Casimir eigenvalue on the k-th wedge power: the oracle for
+    Kostant's statement that it is k exactly when an abelian ideal of
+    size k exists.
+
+    Eigenvalues are Casimir scalars of the highest weights present; a
+    dominant weight is a highest weight exactly when the raising
+    operators have a joint kernel on its weight block.
+    """
+    if k > table.dim:
+        raise ValueError(
+            f"wedge degree {k} exceeds dim g = {table.dim}: "
+            "the wedge power is zero and has no highest weight")
+    highest = [weight for weight, (_, block)
+               in _dominant_blocks(table, k, Limits.wedge_matrix).items()
+               if _highest_weight_multiplicity(table, block)]
+    if not highest:
+        raise AssertionError("no highest weight found in a nonzero module")
+    return max(casimir_eigenvalue(table.rs, weight) for weight in highest)
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
 def test_max_eigenvalue_full_sweep(label):
     rs = parse_type(label)
@@ -687,8 +709,8 @@ def stacked_highest_weight_vector(table, blocks, weight, block):
     pos = {s: i for i, s in enumerate(block)}
     rows = []
     for simple in range(rs.rank):
-        gen = table.root_vector(rs.root_index(
-            tuple(int(j == simple) for j in range(rs.rank))))
+        gen = rs.positive_roots.index(
+            tuple(int(j == simple) for j in range(rs.rank)))
         target_weight = tuple(w + c for w, c in zip(weight, table.weights[gen]))
         target = blocks.get(target_weight, [])
         tpos = {s: i for i, s in enumerate(target)}
