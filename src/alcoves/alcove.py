@@ -6,9 +6,10 @@ system; a root phi = sum c_i alpha_i then evaluates as sum c_i X_i, and
 the affine walls are the level sets at multiples of `scale`.  The base
 point x0 is the image of 2*rho under the Killing identification, which in
 these units is X_i = sym_i.  Every point the search reaches is an integer
-vector.  An affine element sigma is carried as its point x = sigma(x0)
-and its linear part w, with sigma(y) = x + w (y - x0); its translation
-sigma(0) is never tracked.  The point yields, for each dominant alcove:
+vector.  An affine element sigma(y) = w y + t is carried as its point
+x = sigma(x0) and its translation t = sigma(0), in the same units; the
+linear part w is never formed, since x - t = w(x0) fixes it (x0 is
+regular).  The point yields, for each dominant alcove:
 
 * the wall-crossing counts n_phi = phi(X) // scale,
 * the length (their sum),
@@ -21,11 +22,12 @@ A frontier alcove carries the images w beta_g^vee of the coroots of the
 l + 1 walls alpha_i = 0 and psi = 1; crossing wall g moves x along
 w beta_g^vee = +-phi^vee, with phi the root whose wall is crossed, and a
 lookup among the positive coroots keeps the crossings that raise n_phi by
-one.  These cross no wall phi = 0, so they stay dominant, and they reach
-every dominant alcove of length n + 1: the open dominant chamber is
-convex, so each has a dominant facet neighbor of length n.  Such a
-crossing raises cas by the new n_phi >= 1, so the walk bounded by a
-Casimir ceiling drops every alcove over it and still reaches all below.
+one; crossing psi = 1 also moves t by scale times that image.  These
+cross no wall phi = 0, so they stay dominant, and they reach every
+dominant alcove of length n + 1: the open dominant chamber is convex, so
+each has a dominant facet neighbor of length n.  Such a crossing raises
+cas by the new n_phi >= 1, so the walk bounded by a Casimir ceiling
+drops every alcove over it and still reaches all below.
 The character at type rho needs no walk and no fold: it is read from the
 values phi(X) of `rootsystem._rho_values`, one per positive root.
 """
@@ -40,15 +42,15 @@ from .rootsystem import (RootSystem, _coroot_coords, _integer_inverse,
                          _rho_values)
 
 
-class AffineElement(namedtuple("AffineElement", "x w n_vec length lam cas")):
+class AffineElement(namedtuple("AffineElement", "x t n_vec length lam cas")):
     """One dominant alcove, with its affine transformation
-    sigma(y) = x + w (y - x0).
+    sigma(y) = w y + t.
 
     `x` is the point sigma(x0) as an integer vector in units of 1/scale,
-    and `w` the linear part as an integer matrix acting on evaluation
-    vectors; the two fix sigma.  `n_vec` holds the wall counts in the
-    fixed positive-root order, `lam` the alcove weight in fundamental
-    coordinates and `cas` its (integer) Casimir eigenvalue.
+    and `t` the translation sigma(0) in the same units; the two fix
+    sigma, since x - t = w(x0) and x0 is regular.  `n_vec` holds the wall
+    counts in the fixed positive-root order, `lam` the alcove weight in
+    fundamental coordinates and `cas` its (integer) Casimir eigenvalue.
     """
 
     __slots__ = ()
@@ -69,15 +71,11 @@ def _coroot(rs: RootSystem, beta: tuple) -> tuple:
                  for j in range(rs.rank))
 
 
-def _element_from_map(rs: RootSystem, w, x, n_vec, length, cas) -> AffineElement:
-    lam = []
-    for xi, s in zip(x, rs.sym):
-        m, rem = divmod(xi, s)
-        if rem:
-            raise AssertionError("alcove weight is not integral")
-        lam.append(m - 1)
-    return AffineElement(x=x, w=w, n_vec=n_vec, length=length,
-                         lam=tuple(lam), cas=cas)
+def _element(rs: RootSystem, x, t, n_vec, length, cas) -> AffineElement:
+    if any(xi % s for xi, s in zip(x, rs.sym)):
+        raise AssertionError("alcove weight is not integral")
+    return AffineElement(x, t, n_vec, length,
+                         tuple(xi // s - 1 for xi, s in zip(x, rs.sym)), cas)
 
 
 @lru_cache(maxsize=None)
@@ -107,26 +105,25 @@ def _walk(rs: RootSystem, max_length: int, ceiling: int) -> tuple:
     """The dominant alcoves of length at most `max_length` reached through
     alcoves with cas at most `ceiling`."""
     l = rs.rank
-    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-    walls = [(row, 0) for row in eye]
+    walls = [(tuple(int(i == j) for j in range(l)), 0) for i in range(l)]
     walls.append((rs.positive_roots[rs.highest_root], rs.scale))
     coroots = tuple(_coroot(rs, beta) for beta, _ in walls)
     up = {_coroot(rs, phi): j for j, phi in enumerate(rs.positive_roots)}
     down = {tuple(-c for c in v): j for v, j in up.items()}
     # Per wall g: c_g - beta_g(x0) (> 0 only for psi), the lookup of an
-    # upward crossing, beta_g and the pairings beta_g(beta_h^vee).
+    # upward crossing, c_g and the pairings beta_g(beta_h^vee).
     gens = []
     for beta, level in walls:
         step = level - evaluate_root(beta, rs.sym)
-        gens.append((step, up if step > 0 else down, beta,
+        gens.append((step, up if step > 0 else down, level,
                      tuple(evaluate_root(beta, v) for v in coroots)))
-    identity = _element_from_map(rs, eye, rs.sym, (0,) * rs.num_positive, 0, 0)
+    identity = _element(rs, rs.sym, (0,) * l, (0,) * rs.num_positive, 0, 0)
     out = [identity]
     frontier = [(identity, coroots)]
     for length in range(1, max_length + 1):
         new = {}
         for e, images in frontier:
-            for (step, lookup, beta, pairs), v in zip(gens, images):
+            for (step, lookup, level, pairs), v in zip(gens, images):
                 j = lookup.get(v)
                 if j is None:
                     continue
@@ -138,9 +135,9 @@ def _walk(rs: RootSystem, max_length: int, ceiling: int) -> tuple:
                     continue
                 n_vec = list(e.n_vec)
                 n_vec[j] += 1
-                w = tuple(tuple(a - b * c for a, c in zip(row, beta))
-                          for row, b in zip(e.w, v))
-                new[x] = (_element_from_map(rs, w, x, tuple(n_vec), length, cas),
+                # sigma s_g sends 0 to sigma(c_g beta_g^vee) = t + c_g v.
+                t = tuple(a + level * b for a, b in zip(e.t, v))
+                new[x] = (_element(rs, x, t, tuple(n_vec), length, cas),
                           tuple(tuple(a - p * b for a, b in zip(img, v))
                                 for img, p in zip(images, pairs)))
         frontier = sorted(new.values(), key=lambda pair: pair[0].n_vec)
@@ -151,50 +148,39 @@ def _walk(rs: RootSystem, max_length: int, ceiling: int) -> tuple:
 def reflect_in_wall(rs: RootSystem, e: AffineElement, idx: int) -> AffineElement:
     """s e for the reflection s in the affine wall beta = 1 of the positive
     root with index `idx`: the alcove of `e` mirrored in that wall, by one
-    left multiplication.  The product has the point
-    s(x) = x + (scale - beta(x)) beta^vee and the linear part
-    w - beta^vee (w^T beta)^T."""
+    left multiplication.  The product s sigma maps x0 to
+    s(x) = x + (scale - beta(x)) beta^vee and 0 to
+    s(t) = t + (scale - beta(t)) beta^vee."""
     beta = rs.positive_roots[idx]
     coroot = _coroot(rs, beta)
-    step = rs.scale - evaluate_root(beta, e.x)
-    x = tuple(a + step * c for a, c in zip(e.x, coroot))
-    pulled = tuple(evaluate_root(beta, col) for col in zip(*e.w))
-    w = tuple(tuple(a - c * b for a, b in zip(row, pulled))
-              for row, c in zip(e.w, coroot))
+
+    def s(y):
+        step = rs.scale - evaluate_root(beta, y)
+        return tuple(a + step * c for a, c in zip(y, coroot))
+
+    x = s(e.x)
     n_vec = tuple(evaluate_root(c, x) // rs.scale for c in rs.positive_roots)
-    return _element_from_map(rs, w, x, n_vec, sum(n_vec),
-                             sum(n * (n + 1) // 2 for n in n_vec))
-
-
-def apply_element(rs: RootSystem, e: AffineElement, point) -> tuple:
-    """Apply the affine transformation of `e` to a point given in units
-    of 1/scale: x + w (point - x0)."""
-    d = tuple(map(sub, point, rs.sym))
-    return tuple(a + evaluate_root(row, d) for a, row in zip(e.x, e.w))
+    return _element(rs, x, s(e.t), n_vec, sum(n_vec),
+                    sum(n * (n + 1) // 2 for n in n_vec))
 
 
 def finite_part_length(rs: RootSystem, e: AffineElement) -> int:
-    """Length of the finite Weyl part: positive roots sent negative by its
-    inverse, read off from the transpose action on root coordinates."""
-    count = 0
-    for c in rs.positive_roots:
-        img = tuple(sum(e.w[i][j] * c[i] for i in range(rs.rank))
-                    for j in range(rs.rank))
-        if all(v <= 0 for v in img) and any(img):
-            count += 1
-    return count
+    """Length of the finite Weyl part w: the positive roots phi that its
+    inverse sends negative.  phi(w(x0)) = (w^-1 phi)(x0) with x0 regular
+    dominant and w(x0) = x - t, so these are the phi with phi(x - t) < 0."""
+    d = tuple(map(sub, e.x, e.t))
+    return sum(evaluate_root(c, d) < 0 for c in rs.positive_roots)
 
 
 def two_rho_pairing_killing(rs: RootSystem, e: AffineElement) -> int:
     """(2*rho, z)_K for the translation part z = sigma(0) / scale, an
     integer.  z must lie in the coroot lattice: its coroot coordinates
     solve sigma(0) = scale * cartan^T z."""
-    t = apply_element(rs, e, (0,) * rs.rank)
     adj, den = _integer_inverse(rs)
     for i in range(rs.rank):
-        if sum(adj[j][i] * t[j] for j in range(rs.rank)) % (den * rs.scale):
+        if sum(adj[j][i] * e.t[j] for j in range(rs.rank)) % (den * rs.scale):
             raise AssertionError("translation part is not in the coroot lattice")
-    return evaluate_root(rs.two_rho, t) // rs.scale
+    return evaluate_root(rs.two_rho, e.t) // rs.scale
 
 
 def in_wf2(rs: RootSystem, e: AffineElement) -> bool:

@@ -28,6 +28,8 @@ from math import gcd, prod
 from numbers import Rational  # annotation only; `fractions` loads on use
 from operator import sub
 
+from .limits import Limits
+
 FAMILIES = "ABCDEFG"
 
 # Number of positive roots per family, as a function of the rank.
@@ -390,13 +392,15 @@ def _integer_inverse(rs: RootSystem):
     return rs.inverse
 
 
-def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int):
+def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int,
+                                     max_weights=Limits.partition_candidates):
     """All dominant integral weights with Casimir eigenvalue <= ceiling.
 
     The eigenvalue is monotone in every coordinate, so a coordinate scan
     with early exit is exhaustive.  With `cartan_inv` cleared by its
     common denominator d, d times the numerator of `casimir_eigenvalue`
-    is the integer w.Q.w + L.w, compared with d * ceiling * 2 * scale."""
+    is the integer w.Q.w + L.w, compared with d * ceiling * 2 * scale.
+    The scan stops at the first weight over `max_weights`."""
     adj, d = _integer_inverse(rs)
     form = [[s * x for x in row] for s, row in zip(rs.sym, adj)]
     coords = [0] * rs.rank
@@ -404,6 +408,10 @@ def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int):
 
     def rec(i: int, num: int):  # num: d times the numerator of coords[:i]
         if i == rs.rank:
+            if len(out) == max_weights:
+                raise ValueError(f"dominant weights of Casimir <= {ceiling} "
+                                 "exceed the partition_candidates ceiling "
+                                 f"{max_weights}; raise it explicitly")
             out.append(tuple(coords))
             return
         step = d * rs.sym[i] * rs.two_rho[i] + sum(

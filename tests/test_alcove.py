@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from alcoves.alcove import (_coroot, apply_element, chi_at_type_rho,
+from alcoves.alcove import (_coroot, chi_at_type_rho,
                             counts_by_length, enumerate_casimir_bounded,
                             enumerate_dominant, enumerate_wf2, evaluate_root,
                             finite_part_length, ideal_chain, in_wf2,
@@ -88,10 +88,11 @@ def test_element_invariants(label):
         assert e.cas >= e.length
         assert (e.cas == e.length) == in_wf2(rs, e)
         seen_weights.add(e.lam)
-        # The tracked point is the element applied to the base point.
-        assert apply_element(rs, e, rs.sym) == e.x
+        # x - t is the image w(x0) of the regular base point: regular too.
+        d = tuple(a - b for a, b in zip(e.x, e.t))
+        assert all(evaluate_root(c, d) for c in rs.positive_roots)
         # Every field is built from plain integers.
-        for vec in (e.x, e.n_vec, e.lam) + e.w:
+        for vec in (e.x, e.t, e.n_vec, e.lam):
             assert all(type(v) is int for v in vec)
         assert type(e.length) is int and type(e.cas) is int
     assert len(seen_weights) == len(elements)
@@ -154,28 +155,36 @@ def _translation_tracking_bfs(rs, max_length):
 @pytest.mark.parametrize("label", SMALL_TYPES + ["E7", "E8"])
 def test_search_matches_translation_tracking_oracle(label):
     """The coroot-image walk finds the alcoves of the search that threads
-    the translation, field for field; the oracle's coroot coordinates are
-    those of sigma(0) / scale, recovered from (x, w).  A3 runs to the
-    depth of the `bott` benchmark job, E7 and E8 each to under a second."""
+    the translation, field for field: `t` is the oracle's scale * t, whose
+    coroot coordinates are the oracle's z, and the finite part's length
+    is the count of positive roots that the transpose of the oracle's
+    matrix w sends negative.  A3 runs to the depth of the `bott`
+    benchmark job, E7 and E8 each to under a second."""
     rs = parse_type(label)
+    l = rs.rank
     depth = {"A3": 30, "F4": 6, "E6": 6, "E7": 32, "E8": 44}.get(label, 8)
     oracle = _translation_tracking_bfs(rs, depth)
     elements = enumerate_dominant(rs, depth)
     assert len(elements) == len(oracle)
     for e, o in zip(elements, oracle):
-        for name in ("x", "w", "n_vec", "length", "lam", "cas"):
+        for name in ("x", "n_vec", "length", "lam", "cas"):
             assert getattr(e, name) == o[name], name
-        origin = apply_element(rs, e, (0,) * rs.rank)
-        z = tuple(sum(rs.cartan_inv[j][i] * Fraction(origin[j], rs.scale)
-                      for j in range(rs.rank)) for i in range(rs.rank))
+        assert e.t == tuple(rs.scale * v for v in o["t"])
+        z = tuple(sum(rs.cartan_inv[j][i] * Fraction(e.t[j], rs.scale)
+                      for j in range(l)) for i in range(l))
         assert z == o["z"]
+        transposed = (tuple(sum(o["w"][i][j] * c[i] for i in range(l))
+                            for j in range(l)) for c in rs.positive_roots)
+        assert finite_part_length(rs, e) == sum(
+            all(v <= 0 for v in img) and any(img) for img in transposed)
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
 def test_reflect_in_wall_matches_the_matrix_form(label):
     """The rank-one reflection equals the full affine map s(y) = M y +
-    scale beta^vee, M = I - beta^vee (x) beta, applied as matrices, with
-    alpha_j(beta^vee) = 2 (beta, alpha_j) / (beta, beta) from the form."""
+    scale beta^vee, M = I - beta^vee (x) beta, applied as matrices to the
+    point and the translation, with alpha_j(beta^vee) =
+    2 (beta, alpha_j) / (beta, beta) from the form."""
     rs = parse_type(label)
     l = rs.rank
     eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
@@ -184,16 +193,18 @@ def test_reflect_in_wall_matches_the_matrix_form(label):
                        for j in range(l))
         mat = tuple(tuple(eye[j][k] - coroot[j] * beta[k] for k in range(l))
                     for j in range(l))
+
+        def reflect(y):
+            return tuple(sum(map(mul, row, y)) + rs.scale * c
+                         for row, c in zip(mat, coroot))
+
         for e in enumerate_dominant(rs, 4):
-            x = tuple(sum(map(mul, row, e.x)) + rs.scale * c
-                      for row, c in zip(mat, coroot))
-            w = tuple(tuple(sum(row[i] * e.w[i][k] for i in range(l))
-                            for k in range(l)) for row in mat)
+            x = reflect(e.x)
             n_vec = tuple(sum(map(mul, root, x)) // rs.scale
                           for root in rs.positive_roots)
             assert all(v % s == 0 for v, s in zip(x, rs.sym))
             got = reflect_in_wall(rs, e, idx)
-            assert (got.x, got.w, got.n_vec) == (x, w, n_vec)
+            assert (got.x, got.t, got.n_vec) == (x, reflect(e.t), n_vec)
             assert got.length == sum(n_vec)
             assert got.lam == tuple(v // s - 1 for v, s in zip(x, rs.sym))
             assert got.cas == sum(n * (n + 1) // 2 for n in n_vec)
@@ -214,10 +225,13 @@ def test_translation_off_the_coroot_lattice_is_refused(monkeypatch):
         two_rho_pairing_killing(rs, reflected)
 
 
-@pytest.mark.parametrize("label", SMALL_TYPES)
+@pytest.mark.parametrize("label", SMALL_TYPES + ["E7", "E8"])
 def test_parity_identity(label):
+    """l(sigma) + l(w) = (2 rho, sigma(0))_K, even; E6, E7 and E8 each run
+    to about a second."""
     rs = parse_type(label)
-    for e in enumerate_dominant(rs, 7):
+    depth = {"E6": 56, "E7": 60, "E8": 72}.get(label, 7)
+    for e in enumerate_dominant(rs, depth):
         pairing = two_rho_pairing_killing(rs, e)
         assert e.length + finite_part_length(rs, e) == pairing
         assert pairing % 2 == 0
@@ -437,11 +451,11 @@ def test_naive_translation_formula_fails():
     affine action is not linear, so the halved formula is the right one.
     Search the first few alcoves for a concrete counterexample."""
     rs = parse_type("A1")
-    # A weight lambda sits at the point sym_i * lambda_i / 2.
-    rho_point = tuple(Fraction(s, 2) for s in rs.sym)
+    # A weight lambda sits at the point sym_i * lambda_i / 2, so rho at
+    # x0 / 2, and sigma(x0 / 2) = w(x0) / 2 + t = (x + t) / 2.
     mismatches = []
     for e in enumerate_dominant(rs, 4):
-        image = apply_element(rs, e, rho_point)
+        image = tuple(Fraction(a + b, 2) for a, b in zip(e.x, e.t))
         naive = tuple(2 * v / s - 1 for v, s in zip(image, rs.sym))
         if naive != e.lam:
             mismatches.append((e.length, naive, e.lam))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,12 @@ SIZE_ERRORS = [
                   "--cas-ceiling", "6"], {"partition_candidates": 3},
                  ["partitions exceed", "partition_candidates ceiling 3"],
                  id="root-partitions-over-partition-candidates"),
+    # A2 has 28 dominant weights with Casimir eigenvalue at most 6.
+    pytest.param(["verify", "--suite", "sign", "--type", "A2",
+                  "--cas-ceiling", "6"], {"partition_candidates": 27},
+                 ["dominant weights of Casimir <= 6",
+                  "partition_candidates ceiling 27"],
+                 id="sign-over-partition-candidates"),
     # Size 9, the largest, has five partitions with at most two parts.
     pytest.param(["mcore", "--m", "3", "--kmax", "3"],
                  {"partition_candidates": 2},
@@ -334,6 +341,27 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
     assert out == ""
     for word in words:
         assert word in err, (word, err)
+
+
+def test_sign_scan_on_a8_at_64_exits_two_before_any_walk(capsys, monkeypatch):
+    """A8 has about 20M dominant weights with Casimir eigenvalue at most
+    64.  At the default limits the scan stops at the 2M of
+    `partition_candidates` (about 2 s and 250 MiB on a 2-vCPU VM) and
+    refuses before any alcove walk starts."""
+    import alcoves.alcove as alcove
+
+    def walk(*args):
+        raise AssertionError("the alcove walk ran before the weight scan")
+
+    monkeypatch.delenv("ALCOVES_LIMITS", raising=False)
+    monkeypatch.setattr(alcove, "enumerate_dominant", walk)
+    monkeypatch.setattr(alcove, "enumerate_casimir_bounded", walk)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "sign", "--type",
+                             "A8", "--cas-ceiling", "64")
+    assert time.perf_counter() - start < 20
+    assert (code, out) == (2, "")
+    assert f"partition_candidates ceiling {Limits.partition_candidates}" in err
 
 
 def test_every_range_ceiling_is_a_limits_field():
@@ -445,7 +473,7 @@ def test_suite_options_are_the_suite_signatures():
     assert len(UNTAKEN) == 64
     assert sorted(name for name, fn in SUITES.items()
                   if "limits" in arguments(fn)) == \
-        ["mcore", "root-partitions", "seven-numbers", "subset-bound"]
+        ["mcore", "root-partitions", "seven-numbers", "sign", "subset-bound"]
 
 
 # The defaults that are worked out from A2: h_dual + 3, and the number of
