@@ -16,11 +16,12 @@ BIG_FACTOR = 100  # --allow-big multiplies every ceiling by this
 class Limits:
     """An immutable set of ceilings, each a non-negative integer.  The
     defaults are class attributes, so that a default argument can read
-    `Limits.<field>`; an instance stores only the fields given by keyword."""
+    `Limits.<field>`; an instance stores only the fields given by keyword.
+    No two fields bound the same work: `max_rank` bounds the Chevalley
+    table of a type, and `wedge_matrix` the wedge oracles read from it."""
 
     subset_candidates: int = 2_000_000      # k-subset sweeps (positive-root subsets)
     partition_candidates: int = 2_000_000   # root-partition and core sweeps
-    chevalley_dim: int = 14                 # largest algebra built as a table
     wedge_matrix: int = 3432                # dominant-block rows per wedge degree
     max_length: int = 64                    # alcove enumeration depth
     max_order: int = 128                    # series truncation order

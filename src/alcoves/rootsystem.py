@@ -122,7 +122,7 @@ class RootSystem(FrozenRecord):
         "highest_root",     # index of psi in positive_roots
         "sym",              # symmetrizers: sym_i * a_ij is symmetric
         "scale",            # h_dual * pair(psi, psi) / 2
-        "h", "h_dual", "exponents", "dim_g",
+        "h_dual", "exponents", "dim_g",
         "two_rho",          # 2*rho in simple-root coordinates
         "_index",           # positive root -> its index
     )
@@ -326,7 +326,6 @@ def _build_root_system(family: str, rank: int) -> RootSystem:
     if rem:
         raise AssertionError("dual Coxeter number is not an integer")
     h_dual += 1
-    h = sum(psi) + 1
 
     exponents = _exponents(sum(c) for c in positive)
     if sum(exponents) != len(positive) or len(exponents) != rank:
@@ -339,7 +338,7 @@ def _build_root_system(family: str, rank: int) -> RootSystem:
         inverse=_cleared_inverse(cartan),
         positive_roots=tuple(positive), highest_root=psi_idx,
         sym=sym, scale=h_dual * psi_norm // 2,
-        h=h, h_dual=h_dual, exponents=exponents, dim_g=dim_g,
+        h_dual=h_dual, exponents=exponents, dim_g=dim_g,
         two_rho=two_rho, _index=index)
 
 
@@ -394,36 +393,37 @@ def _integer_inverse(rs: RootSystem):
 
 def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int,
                                      max_weights=Limits.partition_candidates):
-    """All dominant integral weights with Casimir eigenvalue <= ceiling.
+    """Yield each dominant integral weight with Casimir eigenvalue <= ceiling.
 
     The eigenvalue is monotone in every coordinate, so a coordinate scan
     with early exit is exhaustive.  With `cartan_inv` cleared by its
     common denominator d, d times the numerator of `casimir_eigenvalue`
     is the integer w.Q.w + L.w, compared with d * ceiling * 2 * scale.
-    The scan stops at the first weight over `max_weights`."""
+    It keeps no list, and raises at the first weight over `max_weights`."""
     adj, d = _integer_inverse(rs)
     form = [[s * x for x in row] for s, row in zip(rs.sym, adj)]
     coords = [0] * rs.rank
-    out = []
+    count = 0
 
     def rec(i: int, num: int):  # num: d times the numerator of coords[:i]
+        nonlocal count
         if i == rs.rank:
-            if len(out) == max_weights:
+            if count == max_weights:
                 raise ValueError(f"dominant weights of Casimir <= {ceiling} "
                                  "exceed the partition_candidates ceiling "
                                  f"{max_weights}; raise it explicitly")
-            out.append(tuple(coords))
+            count += 1
+            yield tuple(coords)
             return
         step = d * rs.sym[i] * rs.two_rho[i] + sum(
             (form[i][j] + form[j][i]) * coords[j] for j in range(i))
         while num <= d * ceiling * 2 * rs.scale:  # num of coords[:i + 1]
-            rec(i + 1, num)
+            yield from rec(i + 1, num)
             num += step + form[i][i] * (2 * coords[i] + 1)
             coords[i] += 1
         coords[i] = 0
 
-    rec(0, 0)
-    return out
+    return rec(0, 0)
 
 
 @lru_cache(maxsize=None)

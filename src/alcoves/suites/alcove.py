@@ -109,14 +109,16 @@ def suite_sign(rep: Report, rs: RootSystem, limits: Limits,
                max_length: int = 8, cas_ceiling: int | None = None) -> Report:
     """Character values at an element of type rho: length parity on alcove
     weights, zero on every other dominant weight below the ceiling, whose
-    scan runs first, within `partition_candidates`."""
+    scan runs once within `partition_candidates` before any walk, and once
+    more for the check; no weight is kept."""
     from ..alcove import (chi_at_type_rho, enumerate_casimir_bounded,
                           enumerate_dominant)
     from ..rootsystem import _dominant_weights_with_cas_bound
 
+    scan = (rs, cas_ceiling, limits.partition_candidates)
     if cas_ceiling is not None:
-        weights = _dominant_weights_with_cas_bound(
-            rs, cas_ceiling, limits.partition_candidates)
+        for _ in _dominant_weights_with_cas_bound(*scan):
+            pass
     elements = enumerate_dominant(rs, max_length)
     bad = [e.n_vec for e in elements
            if chi_at_type_rho(rs, e.lam) != (-1) ** e.length]
@@ -125,8 +127,11 @@ def suite_sign(rep: Report, rs: RootSystem, limits: Limits,
     if cas_ceiling is not None:
         alcove_weights = {e.lam for e in
                           enumerate_casimir_bounded(rs, cas_ceiling)}
-        others = [w for w in weights if w not in alcove_weights]
-        nonzero = [w for w in others if chi_at_type_rho(rs, w) != 0]
+        others = nonzero = 0
+        for w in _dominant_weights_with_cas_bound(*scan):
+            if w not in alcove_weights:
+                others += 1
+                nonzero += chi_at_type_rho(rs, w) != 0
         rep.add("other-weights-have-zero-character", not nonzero,
-                {"weights_checked": len(others), "failures": len(nonzero)})
+                {"weights_checked": others, "failures": nonzero})
     return rep

@@ -17,7 +17,7 @@ def suite_seven_numbers(rep: Report, rs: RootSystem, limits: Limits) -> Report:
     from ..wedge import (build_chevalley, casimir_eigenspace_dim,
                         dg_ideal_dim, verify_ideal_top_vectors)
 
-    table = build_chevalley(rs, dim_ceiling=limits.chevalley_dim)
+    table = build_chevalley(rs)
     series = euler_power(rs.dim_g, rs.h_dual)
     doms = enumerate_casimir_bounded(rs, rs.h_dual)
     for k in range(rs.h_dual + 1):

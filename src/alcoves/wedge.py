@@ -1,7 +1,8 @@
-"""Brute-force exterior-algebra oracles for small simple Lie algebras.
+"""Brute-force exterior-algebra oracles for simple Lie algebras.
 
 A Chevalley basis (root vectors plus simple coroots) is built from the
-abstract root system with integer structure constants.  Signs come from
+abstract root system with integer structure constants, once per type,
+with no ceiling but the rank's (E8 builds in seconds).  Signs come from
 the classical extraspecial-pair procedure: for each non-simple positive
 root, the decomposition with the smallest first summand gets a positive
 constant, and every other decomposition follows from the quadruple
@@ -75,7 +76,7 @@ class LieAlgebraTable(FrozenRecord):
     )
 
     def __reduce__(self):  # unpickling returns the one table of the type
-        return _chevalley_table, (self.rs,)
+        return build_chevalley, (self.rs,)
 
 
 def _structure_constants(rs: RootSystem):
@@ -144,10 +145,10 @@ def _structure_constants(rs: RootSystem):
     return consts
 
 
-def build_chevalley(rs: RootSystem,
-                    dim_ceiling: int = Limits.chevalley_dim) -> LieAlgebraTable:
+@lru_cache(maxsize=None)
+def build_chevalley(rs: RootSystem) -> LieAlgebraTable:
     """Structure constants and the Killing-dual basis, all verified; the
-    table is built once per root system, whatever the ceiling.
+    table is built once per root system.
 
     Build-time checks: the Jacobi identity over all basis triples,
     nondegeneracy of the Killing form, and the Casimir acting as the
@@ -156,15 +157,6 @@ def build_chevalley(rs: RootSystem,
     written with its negative; a reverse entry of the wrong sign fails
     the Jacobi or the Casimir check.
     """
-    if rs.dim_g > dim_ceiling:
-        raise ValueError(
-            f"dim {rs.dim_g} exceeds the chevalley_dim ceiling {dim_ceiling}; "
-            "raise it explicitly")
-    return _chevalley_table(rs)
-
-
-@lru_cache(maxsize=None)
-def _chevalley_table(rs: RootSystem) -> LieAlgebraTable:
     m = rs.num_positive
     l = rs.rank
     dim = rs.dim_g

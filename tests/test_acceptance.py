@@ -85,13 +85,8 @@ def test_criterion_02_big_types():
 def test_criterion_03_seven_numbers():
     with Budget("criterion 3: five computations agree for k <= h_dual "
                 "on A1 A2 B2 G2 A3 C3 B3 A4", 600):
-        # A3 (dim 15), C3 and B3 (dim 21) and A4 (dim 24) are over the
-        # default Chevalley ceiling, which is raised for them alone.  Their
-        # largest wedge degrees fit the default `wedge_matrix`.
-        wider = {label: Limits(chevalley_dim=parse_type(label).dim_g)
-                 for label in ("A3", "C3", "B3", "A4")}
         for label in ["A1", "A2", "B2", "G2", "A3", "C3", "B3", "A4"]:
-            report = run_suite("seven-numbers", label, wider.get(label, Limits()))
+            report = run_suite("seven-numbers", label, Limits())
             assert len(report.checks) == parse_type(label).h_dual + 2, label
             _assert_all_pass(report, label)
 
@@ -277,8 +272,10 @@ def coverage_map() -> dict:
 def test_coverage_map_is_unchanged():
     """A change that lifts a refusal or a skip, or adds one, shows up as an
     edit of `tests/data/coverage.json`; rewrite it with
-    `PYTHONPATH=src python tests/test_acceptance.py`.  Measured at 42-55 s
-    on a shared 2-vCPU VM, 39-49 s of it `subset-bound`."""
+    `PYTHONPATH=src python tests/test_acceptance.py`.  Measured at 62-64 s
+    on a shared 2-vCPU VM: about 12 s of it `seven-numbers`, whose refusals
+    at `wedge_matrix` take up to 3 s each (E8), and most of the rest
+    `subset-bound`."""
     with Budget("coverage map: every command on every type of rank <= 8 "
                 "at the default limits", 240):
         expected = json.loads(COVERAGE_MAP.read_text(encoding="utf-8"))

@@ -255,7 +255,7 @@ def test_integer_routes_create_no_fraction(count_fractions):
     integers end to end."""
     for label in ["A3", "B2", "G2"]:
         rs = parse_type(label)
-        table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+        table = build_chevalley(rs)
         with count_fractions() as created:
             elements = enumerate_dominant.__wrapped__(rs, 6)
             _alcove_by_ideal.__wrapped__(rs)

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from alcoves.cli import main
@@ -73,8 +73,6 @@ TYPED_SUITES = sorted(name for name, fn in SUITES.items() if "rs" in arguments(f
 @given(suite=st.sampled_from(TYPED_SUITES),
        label=st.sampled_from(["A1", "A2", "B2", "G2", "A3"]))
 def test_canonical_report_is_deterministic(suite, label):
-    # A3 (dim 15) is over the default Chevalley ceiling.
-    assume((suite, label) != ("seven-numbers", "A3"))
     first = run_suite(suite, label, Limits()).canonical()
     assert run_suite(suite, label, Limits()).canonical() == first
 
@@ -279,9 +277,10 @@ SIZE_ERRORS = [
     pytest.param(["verify", "--suite", "mcore", "--m", "10"], None,
                  ["--m 10", "rank 9", "max_rank ceiling 8"],
                  id="verify-mcore-m-rank-unbounded"),
-    pytest.param(["verify", "--suite", "seven-numbers", "--type", "A3"], None,
-                 ["dim 15", "chevalley_dim ceiling 14"],
-                 id="seven-numbers-over-chevalley-dim"),
+    # D4's dominant blocks pass the default wedge_matrix at degree 5.
+    pytest.param(["verify", "--suite", "seven-numbers", "--type", "D4"], None,
+                 ["degree 5", "dominant-block rows", "wedge_matrix ceiling 3432"],
+                 id="seven-numbers-d4-over-wedge-matrix"),
     # G2's dominant blocks hold 184 rows at wedge degree 4.
     pytest.param(["verify", "--suite", "seven-numbers", "--type", "G2"],
                  {"wedge_matrix": 100},
@@ -669,7 +668,7 @@ def test_degenerate_killing_form_exits_three(capsys, monkeypatch):
 
     monkeypatch.setattr(wedge, "_cleared_inverse", singular)
     # Build afresh: the cached table of A1 was verified with the real inverse.
-    monkeypatch.setattr(wedge, "_chevalley_table", wedge._chevalley_table.__wrapped__)
+    monkeypatch.setattr(wedge, "build_chevalley", wedge.build_chevalley.__wrapped__)
     code, out, err = run_cli(capsys, "verify", "--suite", "seven-numbers",
                              "--type", "A1")
     assert code == 3
@@ -687,7 +686,7 @@ def test_casimir_off_the_identity_exits_three(capsys, monkeypatch):
         return (2 * root_dual[0], *root_dual[1:]), coroot_dual, den
 
     monkeypatch.setattr(wedge, "_killing_dual", doubled)
-    monkeypatch.setattr(wedge, "_chevalley_table", wedge._chevalley_table.__wrapped__)
+    monkeypatch.setattr(wedge, "build_chevalley", wedge.build_chevalley.__wrapped__)
     code, out, err = run_cli(capsys, "verify", "--suite", "seven-numbers",
                              "--type", "A2")
     assert (code, out) == (3, "")
@@ -803,7 +802,7 @@ def test_limits_defaults_are_class_attributes():
     assert Limits.max_length == Limits().max_length == 64
     assert Limits(max_length=10).max_order == Limits.max_order
     big = Limits(max_rank=3).embiggen()
-    assert (big.max_rank, big.chevalley_dim) == (300, 1400)
+    assert (big.max_rank, big.wedge_matrix) == (300, 343200)
     assert hash(Limits(max_rank=8)) == hash(Limits())
     with pytest.raises(TypeError):
         Limits(bogus=1)
@@ -967,6 +966,17 @@ UNREAD_EXPORTS = {
 }
 
 
+def library_tops():
+    """(name, node) for each top-level statement of `src/alcoves`, with
+    the name of a def or class, else None."""
+    import ast
+
+    import alcoves
+    for path in Path(alcoves.__file__).parent.rglob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            yield getattr(top, "name", None), top
+
+
 def test_every_export_is_read_by_the_library():
     """An exported name stays only if `src/alcoves` reads it outside its
     own definition; an oracle that only tests read lives in its test."""
@@ -974,15 +984,41 @@ def test_every_export_is_read_by_the_library():
 
     import alcoves
     read = set()
-    for path in Path(alcoves.__file__).parent.rglob("*.py"):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = getattr(top, "name", None)  # a def or class is not its own reader
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else \
-                    node.attr if isinstance(node, ast.Attribute) else None
-                if name is not None and name != own:
-                    read.add(name)
+    for own, top in library_tops():  # a def or class is not its own reader
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None and name != own:
+                read.add(name)
     assert sorted(set(alcoves.__all__) - read) == sorted(UNREAD_EXPORTS)
+
+
+def test_every_record_field_is_read_by_the_library():
+    """Each slot of `RootSystem` and `LieAlgebraTable`, each field of
+    `AffineElement` and `AbelianIdeal`, and each `Limits` field is read as
+    an attribute in `src/alcoves` outside the class that defines it: a
+    field that no code reads is state to remove."""
+    import ast
+
+    from alcoves.alcove import AffineElement
+    from alcoves.ideals import AbelianIdeal
+    from alcoves.limits import FIELDS
+    from alcoves.rootsystem import RootSystem
+    from alcoves.wedge import LieAlgebraTable
+
+    unread = {"RootSystem": set(RootSystem.__slots__),
+              "LieAlgebraTable": set(LieAlgebraTable.__slots__),
+              "AffineElement": set(AffineElement._fields),
+              "AbelianIdeal": set(AbelianIdeal._fields),
+              "Limits": set(FIELDS)}
+    for own, top in library_tops():
+        read = {node.attr for node in ast.walk(top)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)}
+        for record, fields in unread.items():
+            if record != own:
+                fields -= read
+    assert unread == dict.fromkeys(unread, set())
 
 
 def test_ideals_e8_runs_no_alcove_search(capsys, monkeypatch):

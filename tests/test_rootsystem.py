@@ -3,7 +3,7 @@
 import pickle
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from operator import add, mul
 
@@ -180,7 +180,7 @@ def test_coordinate_round_trip(label):
                                            ("B3", 5), ("C3", 5)])
 def test_cas_bounded_dominant_weights_match_a_box_scan(label, ceiling):
     rs = parse_type(label)
-    got = _dominant_weights_with_cas_bound(rs, ceiling)
+    got = list(_dominant_weights_with_cas_bound(rs, ceiling))
     assert len(set(got)) == len(got)
     # The Casimir grows in every coordinate, so the box holds every
     # weight under the ceiling once its far corners are over it.
@@ -199,7 +199,7 @@ def test_cas_bounded_dominant_weights_are_closed_under_raising(label, ceiling):
     list is complete when each of its weights is under the ceiling and
     each unit step up from one is either listed or over the ceiling."""
     rs = parse_type(label)
-    got = _dominant_weights_with_cas_bound(rs, ceiling)
+    got = list(_dominant_weights_with_cas_bound(rs, ceiling))
     listed = set(got)
     assert (0,) * rs.rank in listed
     for w in got:
@@ -215,9 +215,23 @@ def test_cas_bounded_dominant_weights_probe_in_integers(count_fractions):
     cleared from its numerators and denominators."""
     rs = parse_type("E8")
     with count_fractions() as created:
-        got = _dominant_weights_with_cas_bound(rs, rs.h_dual)
+        got = list(_dominant_weights_with_cas_bound(rs, rs.h_dual))
     assert len(got) == len(set(got)) == 16843
     assert not created, created[:3]
+
+
+def test_cas_bounded_dominant_weights_are_yielded_lazily():
+    """The scan keeps no list.  A8 has about 20M weights of Casimir <= 64,
+    far past `partition_candidates`, yet its first thousand come at once;
+    and the ceiling raises only when the weight past it is asked for (A2
+    has 28 weights of Casimir <= 6)."""
+    scan = _dominant_weights_with_cas_bound(parse_type("A8"), 64)
+    assert next(scan) == (0,) * 8
+    assert len(set(islice(scan, 999))) == 999
+    scan = _dominant_weights_with_cas_bound(parse_type("A2"), 6, 27)
+    assert len(list(islice(scan, 27))) == 27
+    with pytest.raises(ValueError, match="partition_candidates ceiling 27"):
+        next(scan)
 
 
 RANK6_TYPES = ([f"A{n}" for n in range(1, 7)] +

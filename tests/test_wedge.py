@@ -20,10 +20,9 @@ from alcoves.rootsystem import (casimir_eigenvalue, parse_type, weyl_dimension,
                                 weyl_orbit_size)
 from alcoves.series import euler_power
 from alcoves.suites import run_suite
-from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _chevalley_table,
-                           _dominant_blocks, _dominant_subsets,
-                           _highest_weight_multiplicity, _killing_dual,
-                           _structure_constants, _theta_single,
+from alcoves.wedge import (LieAlgebraTable, _apply_casimir, _dominant_blocks,
+                           _dominant_subsets, _highest_weight_multiplicity,
+                           _killing_dual, _structure_constants, _theta_single,
                            _verify_casimir_identity, _verify_jacobi,
                            _wedge_replace1, build_chevalley,
                            casimir_eigenspace_dim, dg_ideal_dim,
@@ -159,7 +158,7 @@ def test_build_verifies_itself(label):
     # Build runs the full Jacobi sweep, the Killing nondegeneracy check,
     # and the Casimir identity; reaching here means they all passed.
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     assert table.dim == rs.dim_g
 
 
@@ -228,7 +227,7 @@ def test_table_matches_its_recorded_digest(label):
     fresh build is the recorded one, with `dual` the sparse rows that
     `dual_rows` rebuilds: a change of sign convention or basis order shows
     here and has to update the file on purpose."""
-    table = _chevalley_table.__wrapped__(parse_type(label))
+    table = build_chevalley.__wrapped__(parse_type(label))
     digest = hashlib.sha256(repr((table.brackets, dual_rows(table),
                                   table.killing_den, table.weights)).encode())
     assert digest.hexdigest() == GOLDEN_TABLES[label]
@@ -254,7 +253,7 @@ def test_structure_constants_make_no_fraction(count_fractions):
 def test_antisymmetry_of_brackets():
     for label in TABLE_TYPES + ["A3"]:
         rs = parse_type(label)
-        table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+        table = build_chevalley(rs)
         for a in range(table.dim):
             for b in range(table.dim):
                 forward = dict(table.brackets[a][b])
@@ -269,7 +268,7 @@ def test_build_checks_catch_a_broken_antisymmetry(label, entries):
     negating any one reverse entry [x_b, x_a], b > a, makes the Jacobi
     sweep or the Casimir identity raise."""
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     reverse = [(b, a) for a in range(table.dim) for b in range(a + 1, table.dim)
                if table.brackets[b][a]]
     assert len(reverse) == entries
@@ -301,7 +300,7 @@ def test_build_reads_every_stored_dual_entry(monkeypatch, label):
 
         monkeypatch.setattr(wedge, "_killing_dual", raised)
         with pytest.raises(AssertionError, match="Casimir does not act"):
-            _chevalley_table.__wrapped__(rs)
+            build_chevalley.__wrapped__(rs)
 
 
 def test_a1_table_by_hand():
@@ -340,7 +339,7 @@ def killing_inverse(table):
 @pytest.mark.parametrize("label", TABLE_TYPES + ["A3"])
 def test_dual_basis_inverts_the_trace_form(label):
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     killing = trace_form(table)
     assert exact_rank([dict(enumerate(row)) for row in killing]) == table.dim
     for a in range(table.dim):
@@ -375,7 +374,7 @@ def casimir_by_definition(table, subset):
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3"])
 def test_casimir_weight_formula_is_the_definition(label):
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     if label == "C3":  # every dominant-block subset up to degree 4
         subsets = [s for k in range(5) for _, block in
                    _dominant_blocks(table, k, Limits.wedge_matrix).values()
@@ -389,9 +388,7 @@ def test_casimir_weight_formula_is_the_definition(label):
 def test_one_table_per_root_system():
     rs = parse_type("B2")
     table = build_chevalley(rs)
-    assert build_chevalley(rs, 14) is table
-    assert build_chevalley(rs, dim_ceiling=14) is table
-    assert build_chevalley(rs, dim_ceiling=100) is table
+    assert build_chevalley(parse_type("B2")) is table
 
 
 def test_degenerate_killing_form_is_an_internal_error(monkeypatch):
@@ -404,14 +401,7 @@ def test_degenerate_killing_form_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr("alcoves.wedge._cleared_inverse", singular)
     with pytest.raises(AssertionError, match="Killing form is degenerate"):
-        _chevalley_table.__wrapped__(parse_type("A2"))
-
-
-def test_dim_ceiling_guard():
-    with pytest.raises(ValueError, match="chevalley_dim ceiling 14"):
-        build_chevalley(parse_type("A3"))
-    table = build_chevalley(parse_type("A3"), dim_ceiling=15)
-    assert table.dim == 15
+        build_chevalley.__wrapped__(parse_type("A2"))
 
 
 def test_eigenspace_dims_small():
@@ -514,7 +504,7 @@ def test_max_eigenvalue_refuses_a_zero_wedge_power():
 @pytest.mark.parametrize("label", TABLE_TYPES + ["F4", "E6", "E7"])
 def test_ideal_wedges_are_top_eigenvectors(label):
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     res = verify_ideal_top_vectors(table, enumerate_abelian_ideals(rs))
     assert res["ok"]
     assert res["checked"] == 2 ** rs.rank  # Peterson's count
@@ -544,7 +534,7 @@ def test_row_ceiling_stops_the_sweep(monkeypatch):
     of degree 6; the walk yields only dominant subsets and stops at the
     first row over the ceiling (a full sweep reaches it 150121 subsets
     in)."""
-    table = build_chevalley(parse_type("F4"), dim_ceiling=52)
+    table = build_chevalley(parse_type("F4"))
     _dominant_blocks.cache_clear()
     walked = []
 
@@ -603,7 +593,7 @@ def test_dominant_blocks_are_the_dominant_part_of_the_sweep(label):
     and every block the same ordered list as the full sweep's; D4 in its
     top degree only."""
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     for k in [6] if label == "D4" else range(rs.h_dual + 1):
         got = _dominant_blocks(table, k, comb(rs.dim_g, k))
         expected = [(w, (len(orbit_by_reflections(rs, w)), block))
@@ -676,7 +666,7 @@ def test_dominant_blocks_match_full_sweep(label):
     stop at k = 3, where the dense oracle takes a fraction of a second
     (at k = 4 it takes seconds per type)."""
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     for k in range((rs.h_dual if rs.dim_g <= 15 else 3) + 1):
         assert casimir_eigenspace_dim(table, k) == full_eigenspace_dim(table, k)
         assert dg_ideal_dim(table, k) == full_dg_ideal_dim(table, k)
@@ -692,7 +682,7 @@ def test_boundary_corner_is_the_alcove_sum(label, kmax):
     the last degree inside the default wedge_matrix ceiling (C3, B3 and
     A4 stop at 5); past the largest abelian ideal both sides are 0."""
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     doms = enumerate_dominant(rs, kmax)
     for k in range(kmax + 1):
         assert comb(rs.dim_g, k) - dg_ideal_dim(table, k) == \
@@ -726,7 +716,7 @@ def stacked_highest_weight_vector(table, blocks, weight, block):
 def test_highest_weight_test_matches_stacked_oracle(label):
     """The multiplicity of every dominant weight as a highest weight."""
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     for k in range(rs.h_dual + 1):
         blocks = weight_blocks(table, k)
         dominant = {w: block for w, block in blocks.items() if min(w) >= 0}
@@ -760,7 +750,7 @@ def orbit_by_reflections(rs, weight):
 @pytest.mark.parametrize("label", TABLE_TYPES + ["A3", "B3"])
 def test_dominant_blocks_times_orbits_fill_each_degree(label):
     rs = parse_type(label)
-    table = build_chevalley(rs, dim_ceiling=rs.dim_g)
+    table = build_chevalley(rs)
     for k in range(rs.h_dual + 1):
         blocks = weight_blocks(table, k)
         dominant = [w for w in blocks if all(x >= 0 for x in w)]
