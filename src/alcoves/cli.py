@@ -42,7 +42,7 @@ _RENAMED = {"rs": "--type"}
 SUPPLIED = ("limits", "rep")
 # Switches every command takes, besides the arguments of its function.
 SWITCHES = {"summary": "print a human-readable table instead of JSON",
-            "allow_big": "multiply all scale ceilings by 100"}
+            "allow_big": "multiply every work ceiling by 100; max_rank stays"}
 # The values a string argument may take.
 CHOICES = {"method": ("series", "alcove", "both")}
 

@@ -202,7 +202,7 @@ def _pairing_tables(rs: RootSystem):
 
 
 def verify_subset_bound(rs: RootSystem, k: int,
-                        max_candidates: int = Limits.subset_candidates) -> dict:
+                        max_candidates: int = Limits.max_candidates) -> dict:
     """All k-subsets of positive roots: the shifted norm excess never
     exceeds k, with equality exactly on the abelian-ideal root sets.
 
@@ -216,7 +216,7 @@ def verify_subset_bound(rs: RootSystem, k: int,
     m = rs.num_positive
     total = comb(m, k)
     if total > max_candidates:
-        raise ValueError(f"{total} subsets exceed the subset_candidates "
+        raise ValueError(f"{total} subsets exceed the max_candidates "
                          f"ceiling {max_candidates}")
     P, R, unit = _pairing_tables(rs)
     bound = k * unit
@@ -282,7 +282,7 @@ def _count_partitions(m: int, budget: int) -> int:
 
 def verify_root_partition_bound(
         rs: RootSystem, cas_ceiling: int,
-        max_candidates: int = Limits.partition_candidates) -> dict:
+        max_candidates: int = Limits.max_candidates) -> dict:
     """Positive-root partitions q with triangular cost <= ceiling: the cost
     dominates the shifted norm excess of the assembled vector, with
     equality exactly on the wall-count vectors of dominant alcoves.
@@ -301,7 +301,7 @@ def verify_root_partition_bound(
     m = rs.num_positive
     count = _count_partitions(m, cas_ceiling)
     if count > max_candidates:
-        raise ValueError(f"{count} partitions exceed the partition_candidates "
+        raise ValueError(f"{count} partitions exceed the max_candidates "
                          f"ceiling {max_candidates}; raise it explicitly")
     q = [0] * m
     violations = []

@@ -2,7 +2,7 @@
 
 Defaults keep every CLI invocation at desk scale.  A JSON file named by
 the ALCOVES_LIMITS environment variable overrides individual fields, and
---allow-big multiplies every ceiling by 100 for one invocation.
+--allow-big multiplies every ceiling but max_rank by 100 for one run.
 """
 
 from __future__ import annotations
@@ -10,18 +10,18 @@ from __future__ import annotations
 import os
 
 ENV_VAR = "ALCOVES_LIMITS"
-BIG_FACTOR = 100  # --allow-big multiplies every ceiling by this
+BIG_FACTOR = 100  # --allow-big multiplies every ceiling but max_rank by this
 
 
 class Limits:
     """An immutable set of ceilings, each a non-negative integer.  The
     defaults are class attributes, so that a default argument can read
     `Limits.<field>`; an instance stores only the fields given by keyword.
-    No two fields bound the same work: `max_rank` bounds the Chevalley
-    table of a type, and `wedge_matrix` the wedge oracles read from it."""
+    No two fields bound the same work: `max_candidates` bounds every
+    candidate sweep, `max_rank` the Chevalley table and the 2^rank abelian
+    ideals of a type, and `wedge_matrix` the wedge oracles."""
 
-    subset_candidates: int = 2_000_000      # k-subset sweeps (positive-root subsets)
-    partition_candidates: int = 2_000_000   # root-partition and core sweeps
+    max_candidates: int = 2_000_000         # root subsets and partitions, weights
     wedge_matrix: int = 3432                # dominant-block rows per wedge degree
     max_length: int = 64                    # alcove enumeration depth
     max_order: int = 128                    # series truncation order
@@ -42,22 +42,9 @@ class Limits:
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in FIELDS)
-
-    def __eq__(self, other):
-        return isinstance(other, Limits) and self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return "Limits(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in FIELDS) + ")"
-
-    def embiggen(self) -> "Limits":
-        return Limits(**{name: getattr(self, name) * BIG_FACTOR
-                         for name in FIELDS})
+    def embiggen(self) -> "Limits":  # not max_rank: a type has 2^rank ideals
+        return Limits(**{name: getattr(self, name) * (
+            1 if name == "max_rank" else BIG_FACTOR) for name in FIELDS})
 
 
 FIELDS = tuple(Limits.__annotations__)

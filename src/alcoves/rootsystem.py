@@ -392,7 +392,7 @@ def _integer_inverse(rs: RootSystem):
 
 
 def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int,
-                                     max_weights=Limits.partition_candidates):
+                                     max_weights=Limits.max_candidates):
     """Yield each dominant integral weight with Casimir eigenvalue <= ceiling.
 
     The eigenvalue is monotone in every coordinate, so a coordinate scan
@@ -410,7 +410,7 @@ def _dominant_weights_with_cas_bound(rs: RootSystem, ceiling: int,
         if i == rs.rank:
             if count == max_weights:
                 raise ValueError(f"dominant weights of Casimir <= {ceiling} "
-                                 "exceed the partition_candidates ceiling "
+                                 "exceed the max_candidates ceiling "
                                  f"{max_weights}; raise it explicitly")
             count += 1
             yield tuple(coords)

@@ -109,13 +109,13 @@ def suite_sign(rep: Report, rs: RootSystem, limits: Limits,
                max_length: int = 8, cas_ceiling: int | None = None) -> Report:
     """Character values at an element of type rho: length parity on alcove
     weights, zero on every other dominant weight below the ceiling, whose
-    scan runs once within `partition_candidates` before any walk, and once
+    scan runs once within `max_candidates` before any walk, and once
     more for the check; no weight is kept."""
     from ..alcove import (chi_at_type_rho, enumerate_casimir_bounded,
                           enumerate_dominant)
     from ..rootsystem import _dominant_weights_with_cas_bound
 
-    scan = (rs, cas_ceiling, limits.partition_candidates)
+    scan = (rs, cas_ceiling, limits.max_candidates)
     if cas_ceiling is not None:
         for _ in _dominant_weights_with_cas_bound(*scan):
             pass

@@ -74,7 +74,7 @@ def suite_subset_bound(rep: Report, rs: RootSystem, limits: Limits,
     rep.params["kmax"] = kmax
     for k in range(kmax + 1):
         try:
-            res = verify_subset_bound(rs, k, limits.subset_candidates)
+            res = verify_subset_bound(rs, k, limits.max_candidates)
         except ValueError as exc:  # the only refusal: over the ceiling
             rep.skip(f"subset-bound-k{k}", detail=str(exc))
             continue
@@ -91,7 +91,7 @@ def suite_root_partitions(rep: Report, rs: RootSystem, limits: Limits,
     from ..ideals import verify_root_partition_bound
 
     res = verify_root_partition_bound(rs, cas_ceiling,
-                                      limits.partition_candidates)
+                                      limits.max_candidates)
     rep.add("triangular-cost-bound", not res["violations"],
             {"partitions": res["partitions"],
              "violations": len(res["violations"])})

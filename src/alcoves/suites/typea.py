@@ -9,14 +9,14 @@ def suite_mcore(rep: Report, limits: Limits, m: int = 3, kmax: int = 3,
     from .. import typea
 
     # The candidate counts grow with k: the largest is refused first.
-    got = {k: typea.count_null_cores(m, k, limits.partition_candidates)
+    got = {k: typea.count_null_cores(m, k, limits.max_candidates)
            for k in range(kmax, -1, -1)}
     for k in range(kmax + 1):
         expected = typea.null_core_count_expected(m, k)
         rep.add(f"null-core-count-size-{m * k}", got[k] == expected,
                 {"enumerated": got[k], "binomial": expected})
     res = typea.verify_null_core_bijection(m, max_length,
-                                           limits.partition_candidates)
+                                           limits.max_candidates)
     rep.add("alcove-weights-map-to-null-cores", res["ok"],
             {"alcoves": res["count"], "failures": len(res["failures"])})
     rep.add("images-distinct", res["distinct"])

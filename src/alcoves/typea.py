@@ -111,7 +111,7 @@ def _count_partitions_at_most(n: int, max_parts: int) -> int:
 
 
 def count_null_cores(m: int, k: int,
-                     max_candidates: int = Limits.partition_candidates) -> int:
+                     max_candidates: int = Limits.max_candidates) -> int:
     """Number of partitions of m*k with fewer than m parts and empty
     m-core, by direct enumeration and filtering; the candidates are
     counted first, so an over-ceiling size is refused before any work."""
@@ -121,7 +121,7 @@ def count_null_cores(m: int, k: int,
     candidates = _count_partitions_at_most(n, m - 1)
     if candidates > max_candidates:
         raise ValueError(f"partition enumeration of {candidates} partitions of "
-                         f"{n} exceeds the partition_candidates ceiling "
+                         f"{n} exceeds the max_candidates ceiling "
                          f"{max_candidates}; raise it explicitly")
     return sum(1 for p in partitions_at_most(n, m - 1) if has_null_core(p, m))
 
@@ -132,7 +132,7 @@ def null_core_count_expected(m: int, k: int) -> int:
 
 def verify_null_core_bijection(
         m: int, max_length: int,
-        max_candidates: int = Limits.partition_candidates) -> dict:
+        max_candidates: int = Limits.max_candidates) -> dict:
     """Map every alcove weight of A_{m-1} up to the length bound to its
     partition: all images must have empty m-core, sizes divisible by m,
     no repeats, and character signs matching the length parity.

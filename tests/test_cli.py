@@ -271,6 +271,10 @@ SIZE_ERRORS = [
     pytest.param(["ideals", "--type", "D9"], None,
                  ["--type D9", "rank 9", "max_rank ceiling 8"],
                  id="ideals-rank-unbounded"),
+    # --allow-big leaves max_rank as it is: A9 has 2^9 abelian ideals.
+    pytest.param(["ideals", "--type", "A9", "--allow-big"], None,
+                 ["--type A9", "rank 9", "max_rank ceiling 8"],
+                 id="ideals-allow-big-keeps-max-rank"),
     pytest.param(["mcore", "--m", "40"], None,
                  ["--m 40", "rank 39", "max_rank ceiling 8"],
                  id="mcore-m-rank-unbounded"),
@@ -288,24 +292,24 @@ SIZE_ERRORS = [
                  id="seven-numbers-over-wedge-matrix"),
     # A2 has 26 positive-root partitions of triangular cost <= 6.
     pytest.param(["verify", "--suite", "root-partitions", "--type", "A2",
-                  "--cas-ceiling", "6"], {"partition_candidates": 3},
-                 ["partitions exceed", "partition_candidates ceiling 3"],
+                  "--cas-ceiling", "6"], {"max_candidates": 3},
+                 ["partitions exceed", "max_candidates ceiling 3"],
                  id="root-partitions-over-partition-candidates"),
     # A2 has 28 dominant weights with Casimir eigenvalue at most 6.
     pytest.param(["verify", "--suite", "sign", "--type", "A2",
-                  "--cas-ceiling", "6"], {"partition_candidates": 27},
+                  "--cas-ceiling", "6"], {"max_candidates": 27},
                  ["dominant weights of Casimir <= 6",
-                  "partition_candidates ceiling 27"],
+                  "max_candidates ceiling 27"],
                  id="sign-over-partition-candidates"),
     # Size 9, the largest, has five partitions with at most two parts.
     pytest.param(["mcore", "--m", "3", "--kmax", "3"],
-                 {"partition_candidates": 2},
-                 ["partition enumeration", "partition_candidates ceiling 2"],
+                 {"max_candidates": 2},
+                 ["partition enumeration", "max_candidates ceiling 2"],
                  id="mcore-over-partition-candidates"),
     # Sizes 0 and 3 pass; the coverage total at size 6 has four candidates.
     pytest.param(["mcore", "--m", "3", "--kmax", "1", "--max-length", "6"],
-                 {"partition_candidates": 3},
-                 ["partition enumeration", "partition_candidates ceiling 3"],
+                 {"max_candidates": 3},
+                 ["partition enumeration", "max_candidates ceiling 3"],
                  id="mcore-coverage-over-partition-candidates"),
     pytest.param(["verify", "--suite", "peterson", "--type", "A2"],
                  {"max_length": 2.9},
@@ -323,6 +327,13 @@ SIZE_ERRORS = [
                  [["max_length", 3]],
                  ["limits.json", "holds a list", "JSON object"],
                  id="limits-file-not-an-object"),
+    # A name that is not a field of `Limits` is refused.
+    pytest.param(["verify", "--suite", "peterson", "--type", "A2"],
+                 {"subset_candidates": 1}, ["limits.json", "unknown limit fields"],
+                 id="limits-file-old-subset-field"),
+    pytest.param(["verify", "--suite", "peterson", "--type", "A2"],
+                 {"partition_candidates": 1}, ["limits.json", "unknown limit fields"],
+                 id="limits-file-old-partition-field"),
 ]
 
 
@@ -342,11 +353,21 @@ def test_size_errors_exit_two_naming_the_limit(capsys, monkeypatch, tmp_path,
         assert word in err, (word, err)
 
 
+def test_every_limits_field_has_a_size_error():
+    """Each ceiling is named, as `<field> ceiling`, by at least one exit-2
+    case of `SIZE_ERRORS`, so a ceiling that no refusal tests fails here."""
+    from alcoves.limits import FIELDS
+
+    words = {word for case in SIZE_ERRORS for word in case.values[2]}
+    for field in FIELDS:
+        assert any(f"{field} ceiling" in word for word in words), field
+
+
 def test_sign_scan_on_a8_at_64_exits_two_before_any_walk(capsys, monkeypatch):
     """A8 has about 20M dominant weights with Casimir eigenvalue at most
-    64.  At the default limits the scan stops at the 2M of
-    `partition_candidates` (about 2 s and 250 MiB on a 2-vCPU VM) and
-    refuses before any alcove walk starts."""
+    64.  At the default limits the streamed scan stops at the 2M of
+    `max_candidates` (about 2 s and 15 MiB peak RSS as a fresh process on
+    a 2-vCPU VM) and refuses before any alcove walk starts."""
     import alcoves.alcove as alcove
 
     def walk(*args):
@@ -360,7 +381,7 @@ def test_sign_scan_on_a8_at_64_exits_two_before_any_walk(capsys, monkeypatch):
                              "A8", "--cas-ceiling", "64")
     assert time.perf_counter() - start < 20
     assert (code, out) == (2, "")
-    assert f"partition_candidates ceiling {Limits.partition_candidates}" in err
+    assert f"max_candidates ceiling {Limits.max_candidates}" in err
 
 
 def test_every_range_ceiling_is_a_limits_field():
@@ -525,13 +546,13 @@ def test_mcore_command_is_the_mcore_suite(capsys):
     assert run_cli(capsys, "verify", "--suite", "mcore", *flags) == direct
 
 
-def test_seven_numbers_ignores_subset_candidates(capsys, monkeypatch, tmp_path):
+def test_seven_numbers_ignores_max_candidates(capsys, monkeypatch, tmp_path):
     # The wedge blocks come from a pruned walk, not a C(dim g, k) sweep,
-    # so the positive-root subset ceiling does not bound them.
+    # so the candidate ceiling does not bound them.
     code, expected, _ = run_cli(capsys, "verify", "--suite", "seven-numbers",
                                 "--type", "G2")
     path = tmp_path / "limits.json"
-    path.write_text(json.dumps({"subset_candidates": 1}))
+    path.write_text(json.dumps({"max_candidates": 1}))
     monkeypatch.setenv("ALCOVES_LIMITS", str(path))
     assert run_cli(capsys, "verify", "--suite", "seven-numbers",
                    "--type", "G2") == (0, expected, "")
@@ -548,13 +569,13 @@ def test_mcore_refuses_before_any_core(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "mcore", "--m", "9", "--kmax", "30")
     assert (code, out) == (2, "")
     assert "805240304 partitions" in err
-    assert "partition_candidates ceiling 2000000" in err
+    assert "max_candidates ceiling 2000000" in err
 
 
 def test_skipped_degree_names_the_limit(capsys, monkeypatch, tmp_path):
     # B2 has C(4, 2) = 6 subsets of two positive roots.
     path = tmp_path / "limits.json"
-    path.write_text(json.dumps({"subset_candidates": 5}))
+    path.write_text(json.dumps({"max_candidates": 5}))
     monkeypatch.setenv("ALCOVES_LIMITS", str(path))
     code, out, _ = run_cli(capsys, "verify", "--suite", "subset-bound",
                            "--type", "B2", "--kmax", "2")
@@ -563,13 +584,13 @@ def test_skipped_degree_names_the_limit(capsys, monkeypatch, tmp_path):
     assert checks["subset-bound-k1"]["status"] == "pass"
     assert checks["subset-bound-k2"]["status"] == "skipped"
     assert checks["subset-bound-k2"]["detail"] == \
-        "6 subsets exceed the subset_candidates ceiling 5"
+        "6 subsets exceed the max_candidates ceiling 5"
 
 
 def test_every_check_skipped_exits_two(capsys, monkeypatch, tmp_path):
     # B2 has at least one subset of positive roots in every degree.
     path = tmp_path / "limits.json"
-    path.write_text(json.dumps({"subset_candidates": 0}))
+    path.write_text(json.dumps({"max_candidates": 0}))
     monkeypatch.setenv("ALCOVES_LIMITS", str(path))
     code, out, err = run_cli(capsys, "verify", "--suite", "subset-bound",
                              "--type", "B2")
@@ -578,7 +599,7 @@ def test_every_check_skipped_exits_two(capsys, monkeypatch, tmp_path):
     assert doc["overall"] == "skipped"
     assert {c["status"] for c in doc["checks"]} == {"skipped"}
     assert err == ("error: no check ran: 1 subsets exceed the "
-                   "subset_candidates ceiling 0\n")
+                   "max_candidates ceiling 0\n")
 
 
 # Strings that JSON escapes, or keeps although a stricter writer would not.
@@ -787,12 +808,12 @@ def test_golden_documents(capsys, filename, argv):
 
 
 def test_limits_loading(tmp_path, monkeypatch):
-    assert load_limits() == Limits()
+    assert vars(load_limits()) == {}
     config = tmp_path / "limits.json"
     config.write_text('{"max_length": 10}')
     monkeypatch.setenv("ALCOVES_LIMITS", str(config))
     assert load_limits().max_length == 10
-    assert load_limits() == Limits(max_length=10) != Limits()
+    assert vars(load_limits()) == {"max_length": 10}
     config.write_text('{"bogus": 1}')
     with pytest.raises(ValueError, match="unknown limit fields"):
         load_limits()
@@ -802,8 +823,7 @@ def test_limits_defaults_are_class_attributes():
     assert Limits.max_length == Limits().max_length == 64
     assert Limits(max_length=10).max_order == Limits.max_order
     big = Limits(max_rank=3).embiggen()
-    assert (big.max_rank, big.wedge_matrix) == (300, 343200)
-    assert hash(Limits(max_rank=8)) == hash(Limits())
+    assert (big.max_rank, big.wedge_matrix) == (3, 343200)
     with pytest.raises(TypeError):
         Limits(bogus=1)
 

@@ -202,7 +202,7 @@ def test_subset_bound_a3_low_k():
 
 
 def test_subset_bound_scale_guard():
-    with pytest.raises(ValueError, match="subset_candidates ceiling 1000"):
+    with pytest.raises(ValueError, match="max_candidates ceiling 1000"):
         verify_subset_bound(parse_type("E6"), 18, max_candidates=1000)
 
 
@@ -231,7 +231,7 @@ def test_root_partition_bound(label):
 
 
 def test_root_partition_scale_guard():
-    with pytest.raises(ValueError, match="partition_candidates ceiling 3"):
+    with pytest.raises(ValueError, match="max_candidates ceiling 3"):
         verify_root_partition_bound(parse_type("A2"), 6, max_candidates=3)
 
 

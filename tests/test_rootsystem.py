@@ -222,7 +222,7 @@ def test_cas_bounded_dominant_weights_probe_in_integers(count_fractions):
 
 def test_cas_bounded_dominant_weights_are_yielded_lazily():
     """The scan keeps no list.  A8 has about 20M weights of Casimir <= 64,
-    far past `partition_candidates`, yet its first thousand come at once;
+    far past `max_candidates`, yet its first thousand come at once;
     and the ceiling raises only when the weight past it is asked for (A2
     has 28 weights of Casimir <= 6)."""
     scan = _dominant_weights_with_cas_bound(parse_type("A8"), 64)
@@ -230,7 +230,7 @@ def test_cas_bounded_dominant_weights_are_yielded_lazily():
     assert len(set(islice(scan, 999))) == 999
     scan = _dominant_weights_with_cas_bound(parse_type("A2"), 6, 27)
     assert len(list(islice(scan, 27))) == 27
-    with pytest.raises(ValueError, match="partition_candidates ceiling 27"):
+    with pytest.raises(ValueError, match="max_candidates ceiling 27"):
         next(scan)
 
 

@@ -127,7 +127,7 @@ def test_candidate_count_matches_enumeration():
 
 
 def test_count_scale_guard():
-    with pytest.raises(ValueError, match="partition_candidates ceiling 5"):
+    with pytest.raises(ValueError, match="max_candidates ceiling 5"):
         count_null_cores(6, 3, max_candidates=5)
 
 
